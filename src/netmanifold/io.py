@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,32 +25,25 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_FORMAT_VERSION = 1
 
-REPLICATE_COLUMNS = (
-    "K",
-    "replicate",
-    "seed",
-    "n",
-    "N",
-    "n_star",
-    "lambda",
-    "sq_gap",
-    "valid",
+# (CSV column, ReplicateRecord field); power runs insert the F-test columns
+# before valid.
+REPLICATE_FIELDS = (
+    ("K", "k_index"),
+    ("replicate", "replicate"),
+    ("seed", "seed"),
+    ("n", "n"),
+    ("N", "n_graphs"),
+    ("n_star", "n_star"),
+    ("lambda", "radius"),
+    ("sq_gap", "sq_gap"),
+    ("valid", "valid"),
 )
-POWER_REPLICATE_COLUMNS = (
-    "K",
-    "replicate",
-    "seed",
-    "n",
-    "N",
-    "n_star",
-    "lambda",
-    "sq_gap",
-    "f_true",
-    "f_hat",
-    "reject_true",
-    "reject_hat",
-    "valid",
+_F_TEST_FIELDS = tuple(
+    (name, name) for name in ("f_true", "f_hat", "reject_true", "reject_hat")
 )
+POWER_REPLICATE_FIELDS = REPLICATE_FIELDS[:-1] + _F_TEST_FIELDS + REPLICATE_FIELDS[-1:]
+REPLICATE_COLUMNS = tuple(column for column, _ in REPLICATE_FIELDS)
+POWER_REPLICATE_COLUMNS = tuple(column for column, _ in POWER_REPLICATE_FIELDS)
 EMBEDDING_COLUMNS = ("index", "z_hat", "response")
 
 SYMMETRIZE_RULES = ("max", "sum", "mean")
@@ -326,6 +320,12 @@ def read_csv_rows(path, expected_columns=None):
         return tuple(header), [dict(zip(header, row)) for row in reader]
 
 
+def emit_records(records, path, fields):
+    """Write one row per record; fields pairs each column with an attribute."""
+    rows = [{column: getattr(r, attr) for column, attr in fields} for r in records]
+    emit_csv(rows, path, [column for column, _ in fields])
+
+
 def write_replicate_records(records, path, power=None):
     """Emit per-replicate records; schema widens when F columns are present.
 
@@ -334,67 +334,34 @@ def write_replicate_records(records, path, power=None):
     """
     if power is None:
         power = any(r.f_true is not None for r in records)
-    columns = POWER_REPLICATE_COLUMNS if power else REPLICATE_COLUMNS
-    rows = []
-    for r in records:
-        row = {
-            "K": r.k_index,
-            "replicate": r.replicate,
-            "seed": r.seed,
-            "n": r.n,
-            "N": r.n_graphs,
-            "n_star": r.n_star,
-            "lambda": r.radius,
-            "sq_gap": r.sq_gap,
-            "valid": r.valid,
-        }
-        if power:
-            row.update(
-                f_true=r.f_true,
-                f_hat=r.f_hat,
-                reject_true=r.reject_true,
-                reject_hat=r.reject_hat,
-            )
-        rows.append(row)
-    emit_csv(rows, path, columns)
+    emit_records(records, path, POWER_REPLICATE_FIELDS if power else REPLICATE_FIELDS)
 
 
 def load_replicate_records(path):
-    """Inverse of write_replicate_records."""
+    """Inverse of write_replicate_records; empty F-test cells come back as None."""
     from .pipeline import ReplicateRecord  # local import to avoid a cycle
 
     header, rows = read_csv_rows(path)
-    if tuple(header) not in (REPLICATE_COLUMNS, POWER_REPLICATE_COLUMNS):
+    schemas = {
+        REPLICATE_COLUMNS: REPLICATE_FIELDS,
+        POWER_REPLICATE_COLUMNS: POWER_REPLICATE_FIELDS,
+    }
+    if header not in schemas:
         raise ValidationError(f"{path}: unexpected header {header}")
-    power = tuple(header) == POWER_REPLICATE_COLUMNS
-    records = []
-    for row in rows:
-        records.append(
-            ReplicateRecord(
-                k_index=int(row["K"]),
-                replicate=int(row["replicate"]),
-                seed=int(row["seed"]),
-                n=int(row["n"]),
-                n_graphs=int(row["N"]),
-                n_star=int(row["n_star"]),
-                radius=float(row["lambda"]),
-                sq_gap=float(row["sq_gap"]),
-                valid=_parse_bool(row["valid"]),
-                f_true=float(row["f_true"]) if power and row["f_true"] else None,
-                f_hat=float(row["f_hat"]) if power and row["f_hat"] else None,
-                reject_true=(
-                    _parse_bool(row["reject_true"])
-                    if power and row["reject_true"]
-                    else None
-                ),
-                reject_hat=(
-                    _parse_bool(row["reject_hat"])
-                    if power and row["reject_hat"]
-                    else None
-                ),
-            )
+    types = typing.get_type_hints(ReplicateRecord)
+    optional = {attr for _, attr in _F_TEST_FIELDS}
+    parsers = {int: int, float: float, bool: _parse_bool}
+    return [
+        ReplicateRecord(
+            **{
+                attr: None
+                if attr in optional and not row[column]
+                else parsers[types[attr]](row[column])
+                for column, attr in schemas[header]
+            }
         )
-    return records
+        for row in rows
+    ]
 
 
 def write_embeddings_csv(path, embedding, responses):

@@ -42,6 +42,12 @@ class StressTrace:
         return self.values[-1]
 
 
+def point_distances(x):
+    """Euclidean distances between the rows of an (m, D) array."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 def localization_graph(points, radius):
     """Join points strictly closer than `radius`; weights are the distances.
 
@@ -53,25 +59,18 @@ def localization_graph(points, radius):
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise ValidationError("expected an (m, D) point array")
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    edges = []
-    m = x.shape[0]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dist[i, j] < radius:
-                edges.append((i, j, float(dist[i, j])))
-    return LocalizationGraph(node_count=m, edges=tuple(edges), radius=float(radius))
+    dist = point_distances(x)
+    rows, cols = np.nonzero(np.triu(dist < radius, k=1))
+    edges = tuple(zip(rows.tolist(), cols.tolist(), dist[rows, cols].tolist()))
+    return LocalizationGraph(node_count=x.shape[0], edges=edges, radius=float(radius))
 
 
 def _to_sparse(graph):
-    if graph.edges:
-        rows = np.array([e[0] for e in graph.edges] + [e[1] for e in graph.edges])
-        cols = np.array([e[1] for e in graph.edges] + [e[0] for e in graph.edges])
-        data = np.array([e[2] for e in graph.edges] * 2)
-    else:
-        rows = cols = np.array([], dtype=int)
-        data = np.array([])
+    edges = np.array(graph.edges, dtype=float).reshape(-1, 3)
+    ends = edges[:, :2].astype(int)
+    rows = np.concatenate([ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([ends[:, 1], ends[:, 0]])
+    data = np.concatenate([edges[:, 2], edges[:, 2]])
     # explicit zero entries stay stored so coincident points remain joined
     return csr_matrix((data, (rows, cols)), shape=(graph.node_count, graph.node_count))
 
@@ -190,7 +189,7 @@ def smacof_minimize(delta, z0, tol=1e-8, max_iter=1000):
     return z, StressTrace(values=tuple(trace), converged=converged)
 
 
-def isomap_1d(points, radius, l, tol=1e-8, max_iter=1000, full_output=False):
+def isomap_1d(points, radius, l, full_output=False):
     """Embed the first l of the given points into one dimension.
 
     Composition: localization graph on all given points, shortest paths from
@@ -208,7 +207,7 @@ def isomap_1d(points, radius, l, tol=1e-8, max_iter=1000, full_output=False):
     graph = localization_graph(x, radius)
     delta = shortest_path_matrix(graph, l)
     z0 = cmds_embed(delta)
-    z, trace = smacof_minimize(delta, z0, tol=tol, max_iter=max_iter)
+    z, trace = smacof_minimize(delta, z0)
     if full_output:
         return z, trace, delta
     return z

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SparsityError, ValidationError
+from .manifold import point_distances
 
 # Crossover node count: up to it every graph gets a full dense symmetric
 # eigendecomposition, which is the cheaper route for small graphs (and the
-# only one the power schedule, n <= 92, ever takes). Above it "auto" runs
-# warm-started block iteration for the top-d eigenvectors only.
+# only one the power schedule, n <= 92, ever takes). Above it block
+# iteration computes the top-d eigenvectors only.
 DENSE_MAX_N = 200
 
 _TIE_RTOL = 1e-10
@@ -96,29 +97,26 @@ def _subspace_iteration(a, d, start):
     return _dense_eigenpairs(a, d)
 
 
-def _top_basis(a, d, method="auto", start=None):
+def _top_basis(a, d, start=None):
     """Sign-canonical top-d basis of a validated square matrix; warns on ties.
 
-    start seeds the iterative route; without one it draws an (n, d+2) block
-    from a fixed Philox stream, so both routes are deterministic.
+    Dense eigh up to DENSE_MAX_N nodes, block iteration above. start seeds
+    the iteration; without one it draws an (n, d+2) block from a fixed
+    Philox stream, so both routes are deterministic.
     """
     n = a.shape[0]
-    if method == "auto":
-        method = "dense" if n <= DENSE_MAX_N else "iterative"
-    if method == "dense":
+    if n <= DENSE_MAX_N:
         svals, basis = _dense_eigenpairs(a, d)
-    elif method == "iterative":
+    else:
         if start is None:
             rng = np.random.Generator(np.random.Philox(0x5EED5EED))
             start = rng.standard_normal((n, min(d + 2, n)))
         svals, basis = _subspace_iteration(a, d, start)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
     _warn_on_tie(svals, d, stacklevel=4)
     return canonical_signs(basis)
 
 
-def top_left_singular_vectors(a, d, method="auto"):
+def top_left_singular_vectors(a, d):
     """Top-d left singular vectors of a real symmetric matrix.
 
     Parameters
@@ -128,19 +126,16 @@ def top_left_singular_vectors(a, d, method="auto"):
         ordered by absolute eigenvalue.
     d : int
         Subspace dimension, 1 <= d <= n.
-    method : {"auto", "dense", "iterative"}
-        "dense" computes the full eigendecomposition. "iterative" runs block
-        iteration on A @ A with d+2 columns from a fixed Philox start, stops
-        on the top-d projector alone, and falls back to dense eigh when its
-        iteration cap is reached. "auto" picks dense for n <= DENSE_MAX_N and
-        iterative above. Both routes are deterministic.
 
     Returns
     -------
     (n, d) ndarray with orthonormal, sign-canonicalized columns.
 
-    Warns when the singular values at the d/(d+1) boundary are tied, in which
-    case the subspace is ill-defined.
+    Up to DENSE_MAX_N nodes this is a full dense eigendecomposition. Above it
+    block iteration on A @ A runs with d+2 columns from a fixed Philox start,
+    stops on the top-d projector alone, and falls back to dense eigh when its
+    iteration cap is reached. Warns when the singular values at the d/(d+1)
+    boundary are tied, in which case the subspace is ill-defined.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -148,7 +143,7 @@ def top_left_singular_vectors(a, d, method="auto"):
         raise ValidationError("expected a square matrix")
     if not 1 <= d <= n:
         raise ValidationError(f"d={d} must satisfy 1 <= d <= n={n}")
-    return _top_basis(a, d, method)
+    return _top_basis(a, d)
 
 
 def joint_subspace(bases, d):
@@ -188,23 +183,21 @@ def project_scores(graphs, basis, sparsity):
     return out
 
 
-def sparse_mase(collection, d, per_graph_basis=False, sparsity=None):
+def sparse_mase(collection, d, sparsity=None):
     """Estimate score matrices for every graph in the collection.
+
+    Every graph is projected onto the joint subspace estimated from all
+    per-graph bases.
 
     Parameters
     ----------
     collection : GraphCollection
     d : int
         Embedding dimension.
-    per_graph_basis : bool
-        When False (default) project every graph onto the joint subspace
-        estimated from all per-graph bases. When True project each graph
-        onto its own basis instead; the two coincide when all graphs share
-        an exact invariant subspace.
     sparsity : float or None
-        Override for the sparsity estimate. Pass 1.0 in noiseless mode,
-        where the estimator would return the mean of P and uniformly rescale
-        every score. None estimates from the data.
+        Override for the sparsity estimate. Noiseless collections require it
+        (pass 1.0): there the estimator would return the mean of P and
+        uniformly rescale every score. None estimates from the data.
 
     Returns
     -------
@@ -220,6 +213,10 @@ def sparse_mase(collection, d, per_graph_basis=False, sparsity=None):
     if d > n:
         raise ValidationError(f"d={d} exceeds node count {n}")
     if sparsity is None:
+        if collection.noiseless:
+            raise ValidationError(
+                "a noiseless collection needs an explicit sparsity override"
+            )
         rho = estimate_sparsity(collection)
         if rho <= 0.0:
             raise SparsityError("all graphs are empty; sparsity estimate is zero")
@@ -238,15 +235,8 @@ def sparse_mase(collection, d, per_graph_basis=False, sparsity=None):
         _top_basis(np.asarray(a, dtype=float), d, start=start)
         for a in collection.graphs
     ]
-    if per_graph_basis:
-        scores = [
-            project_scores([a], basis, rho)[0]
-            for a, basis in zip(collection.graphs, bases)
-        ]
-    else:
-        basis = joint_subspace(bases, d)
-        scores = project_scores(collection.graphs, basis, rho)
-    return scores, rho
+    basis = joint_subspace(bases, d)
+    return project_scores(collection.graphs, basis, rho), rho
 
 
 @dataclass(frozen=True)
@@ -293,8 +283,7 @@ def coords_matrix(points, upper_triangle=False):
 def pairwise_frobenius(points):
     """Euclidean distances between score points (= Frobenius on matrices)."""
     x = points if isinstance(points, np.ndarray) else coords_matrix(points)
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    dist = point_distances(x)
     dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
     return dist

@@ -20,11 +20,13 @@ replicates' records.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
 import os
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -50,24 +52,23 @@ DEFAULT_BASE_SEED = 20240817
 
 EXPERIMENT_FORMAT_VERSION = 1
 
-SUMMARY_COLUMNS = (
-    "K",
-    "n",
-    "N",
-    "n_star",
-    "lambda",
-    "n_valid",
-    "n_failed",
-    "mean_sq_gap",
-    "median_sq_gap",
+# (CSV column, KSummary field); power runs append the rejection-rate columns.
+SUMMARY_FIELDS = (
+    ("K", "k_index"),
+    ("n", "n"),
+    ("N", "n_graphs"),
+    ("n_star", "n_star"),
+    ("lambda", "radius"),
+    ("n_valid", "n_valid"),
+    ("n_failed", "n_failed"),
+    ("mean_sq_gap", "mean_sq_gap"),
+    ("median_sq_gap", "median_sq_gap"),
 )
-POWER_SUMMARY_COLUMNS = SUMMARY_COLUMNS + (
-    "pi_true",
-    "pi_hat",
-    "abs_power_gap",
-    "se_true",
-    "se_hat",
+POWER_SUMMARY_FIELDS = SUMMARY_FIELDS + tuple(
+    (name, name) for name in ("pi_true", "pi_hat", "abs_power_gap", "se_true", "se_hat")
 )
+SUMMARY_COLUMNS = tuple(column for column, _ in SUMMARY_FIELDS)
+POWER_SUMMARY_COLUMNS = tuple(column for column, _ in POWER_SUMMARY_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,7 @@ class PredictConfig:
     l: int
     n_star: int
     r: int
-    per_graph_basis: bool = False
     sparsity: float = None
-    smacof_tol: float = 1e-8
-    smacof_max_iter: int = 1000
 
     def __post_init__(self):
         if self.d < 1:
@@ -109,47 +107,24 @@ class PredictDiagnostics:
     sparsity: float
     stress: StressTrace
     embedding: np.ndarray
-    dissimilarity_max: float
-    dissimilarity_min: float  # smallest off-diagonal entry
 
 
 def _embed_collection(
-    collection,
-    d,
-    radius,
-    l,
-    n_star,
-    per_graph_basis=False,
-    sparsity=None,
-    upper_triangle=False,
-    tol=1e-8,
-    max_iter=1000,
+    collection, d, radius, l, n_star, sparsity=None, upper_triangle=False
 ):
+    """Scores, scaled-score points and the 1-D embedding of the first n_star.
+
+    Returns (embedding, PredictDiagnostics, (N, D) points of every graph).
+    """
     if n_star > collection.n_graphs:
         raise ValidationError(
             f"n_star={n_star} exceeds the number of graphs {collection.n_graphs}"
         )
-    scores, rho = sparse_mase(
-        collection, d, per_graph_basis=per_graph_basis, sparsity=sparsity
-    )
+    scores, rho = sparse_mase(collection, d, sparsity=sparsity)
     points = scaled_score_points(scores, collection.node_count)
     x = coords_matrix(points, upper_triangle=upper_triangle)
-    z, trace, delta = isomap_1d(
-        x[:n_star], radius, l, tol=tol, max_iter=max_iter, full_output=True
-    )
-    if l > 1:
-        off = delta[~np.eye(l, dtype=bool)]
-        delta_max, delta_min = float(off.max()), float(off.min())
-    else:
-        delta_max = delta_min = 0.0
-    diagnostics = PredictDiagnostics(
-        sparsity=rho,
-        stress=trace,
-        embedding=z,
-        dissimilarity_max=delta_max,
-        dissimilarity_min=delta_min,
-    )
-    return z, diagnostics
+    z, trace, _ = isomap_1d(x[:n_star], radius, l, full_output=True)
+    return z, PredictDiagnostics(sparsity=rho, stress=trace, embedding=z), x
 
 
 def predict_from_embeddings(embedding, responses, r):
@@ -179,16 +154,13 @@ def pred_graph_resp(collection, config):
         raise ValidationError("the collection must carry at least two responses")
     if s > config.l:
         raise ValidationError(f"s={s} labeled graphs exceed l={config.l}")
-    z, diagnostics = _embed_collection(
+    z, diagnostics, _ = _embed_collection(
         collection,
         config.d,
         config.radius,
         config.l,
         config.n_star,
-        per_graph_basis=config.per_graph_basis,
         sparsity=config.sparsity,
-        tol=config.smacof_tol,
-        max_iter=config.smacof_max_iter,
     )
     prediction = predict_from_embeddings(z, collection.responses, config.r)
     return prediction, diagnostics
@@ -261,6 +233,8 @@ class ExperimentConfig:
             raise ValidationError("level must lie in (0, 1)")
         if self.mc_replicates < 1:
             raise ValidationError("mc_replicates must be >= 1")
+        if not 0 <= self.base_seed < 2**64:
+            raise ValidationError("base_seed must lie in [0, 2^64)")
         if self.lambda_base <= 0.0 or not 0.0 < self.lambda_decay <= 1.0:
             raise ValidationError("need lambda_base > 0 and lambda_decay in (0, 1]")
         if not 0.0 < self.isomap_exponent <= 1.0:
@@ -350,33 +324,25 @@ def power_full_config(**overrides):
     return ExperimentConfig(**base)
 
 
-_CONFIG_KEYS = {
-    "format_version",
-    "experiment",
-    "k_values",
-    "nodes_base",
-    "nodes_step",
-    "graphs_base",
-    "graphs_step",
-    "isomap_exponent",
-    "lambda_base",
-    "lambda_decay",
-    "s",
-    "l",
-    "r",
-    "alpha",
-    "beta",
-    "sigma_eps",
-    "variant",
-    "d",
-    "level",
-    "mc_replicates",
-    "base_seed",
-}
+def _json_key(name):
+    return "experiment" if name == "kind" else name
+
+
+def _json_type_ok(value, kind):
+    """JSON value check for one ExperimentConfig field type; no field is a bool."""
+    if isinstance(value, bool):
+        return False
+    if kind is tuple:
+        return isinstance(value, list) and all(_json_type_ok(v, int) for v in value)
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def experiment_config_from_json(path):
-    """Load an ExperimentConfig from its JSON form (strict keys)."""
+    """Load an ExperimentConfig from its JSON form (strict keys and types).
+
+    Keys are the ExperimentConfig fields, with kind stored as "experiment".
+    Float fields accept JSON integers as they are.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -384,82 +350,42 @@ def experiment_config_from_json(path):
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be an object")
-    unknown = set(doc) - _CONFIG_KEYS
+    fields = {_json_key(f.name): f for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(doc) - set(fields) - {"format_version"}
     if unknown:
         raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
     if doc.get("format_version") != EXPERIMENT_FORMAT_VERSION:
         raise ValidationError(
             f"{path}: format_version must be {EXPERIMENT_FORMAT_VERSION}"
         )
-    kind = doc.get("experiment")
-    required = {
-        "k_values",
-        "nodes_base",
-        "nodes_step",
-        "graphs_base",
-        "graphs_step",
-        "isomap_exponent",
-        "lambda_base",
-        "lambda_decay",
-        "s",
-        "l",
-        "alpha",
-        "beta",
-        "sigma_eps",
-        "variant",
-    }
-    missing = required - set(doc)
+    missing = {
+        key for key, f in fields.items() if f.default is dataclasses.MISSING
+    } - set(doc)
     if missing:
         raise ValidationError(f"{path}: missing config keys {sorted(missing)}")
-    kwargs = dict(
-        kind=kind,
-        k_values=tuple(doc["k_values"]),
-        nodes_base=doc["nodes_base"],
-        nodes_step=doc["nodes_step"],
-        graphs_base=doc["graphs_base"],
-        graphs_step=doc["graphs_step"],
-        isomap_exponent=doc["isomap_exponent"],
-        lambda_base=doc["lambda_base"],
-        lambda_decay=doc["lambda_decay"],
-        s=doc["s"],
-        l=doc["l"],
-        alpha=doc["alpha"],
-        beta=doc["beta"],
-        sigma_eps=doc["sigma_eps"],
-        variant=doc["variant"],
-    )
-    for key in ("r", "d", "level", "mc_replicates", "base_seed"):
-        if key in doc:
-            kwargs[key] = doc[key]
+    types = typing.get_type_hints(ExperimentConfig)
+    kwargs = {}
+    for key, f in fields.items():
+        if key not in doc:
+            continue
+        value, kind = doc[key], types[f.name]
+        nullable = f.default is None
+        if not (_json_type_ok(value, kind) or (nullable and value is None)):
+            expected = "list of int" if kind is tuple else kind.__name__
+            raise ValidationError(
+                f"{path}: config key {key!r} must be {expected}, got {value!r}"
+            )
+        kwargs[f.name] = tuple(value) if kind is tuple else value
     return ExperimentConfig(**kwargs)
 
 
 def experiment_config_to_json(config, path):
     """Write the JSON form accepted by experiment_config_from_json."""
-    doc = {
-        "format_version": EXPERIMENT_FORMAT_VERSION,
-        "experiment": config.kind,
-        "k_values": list(config.k_values),
-        "nodes_base": config.nodes_base,
-        "nodes_step": config.nodes_step,
-        "graphs_base": config.graphs_base,
-        "graphs_step": config.graphs_step,
-        "isomap_exponent": config.isomap_exponent,
-        "lambda_base": config.lambda_base,
-        "lambda_decay": config.lambda_decay,
-        "s": config.s,
-        "l": config.l,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "sigma_eps": config.sigma_eps,
-        "variant": config.variant,
-        "d": config.d,
-        "level": config.level,
-        "mc_replicates": config.mc_replicates,
-        "base_seed": config.base_seed,
-    }
-    if config.r is not None:
-        doc["r"] = config.r
+    doc = {"format_version": EXPERIMENT_FORMAT_VERSION}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if value is not None:
+            doc[_json_key(f.name)] = list(value) if isinstance(value, tuple) else value
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -513,17 +439,50 @@ class ExperimentResult:
     csv_paths: dict = field(compare=False, default_factory=dict)
 
 
-def _replicate_streams(base_seed, k_index, replicate):
-    seq = np.random.SeedSequence(base_seed, spawn_key=(k_index, replicate))
+def _consistency_scores(config, entry, collection, ts, ys):
+    """Squared gap between the pipeline prediction and the oracle's."""
+    prediction, _ = pred_graph_resp(
+        collection,
+        PredictConfig(
+            d=config.d,
+            radius=entry.radius,
+            l=config.l,
+            n_star=entry.n_star,
+            r=config.r,
+        ),
+    )
+    return dict(sq_gap=(prediction - oracle_prediction(ts, ys, config.r)) ** 2)
+
+
+def _power_scores(config, entry, collection, ts, ys):
+    """Slope F-tests on the true regressors and on the embedding."""
+    z, _, _ = _embed_collection(
+        collection, config.d, entry.radius, config.l, entry.n_star
+    )
+    reports, fitted = [], []
+    for x in (ts[: config.s], z[: config.s]):
+        reports.append(f_test(x, ys, config.level))
+        fit = fit_slr(x, ys)
+        fitted.append(fit.intercept + fit.slope * x)
+    return dict(
+        sq_gap=float(((fitted[1] - fitted[0]) ** 2).mean()),
+        f_true=reports[0].f_value,
+        f_hat=reports[1].f_value,
+        reject_true=reports[0].reject,
+        reject_hat=reports[1].reject,
+    )
+
+
+_SCORES = {"consistency": _consistency_scores, "power": _power_scores}
+
+
+def _replicate(config, k_index, replicate):
+    """One seeded replicate: draw t and responses, sample, score by kind."""
+    entry = config.schedule(k_index)
+    seq = np.random.SeedSequence(config.base_seed, spawn_key=(k_index, replicate))
     draw_child, graph_child = seq.spawn(2)
     graph_seed = int(graph_child.generate_state(1, dtype=np.uint64)[0])
     rng = np.random.Generator(np.random.Philox(draw_child))
-    return rng, graph_seed
-
-
-def _consistency_replicate(config, k_index, replicate):
-    entry = config.schedule(k_index)
-    rng, graph_seed = _replicate_streams(config.base_seed, k_index, replicate)
     ts = rng.uniform(0.25, 1.0, entry.n_graphs)
     eps = rng.normal(0.0, config.sigma_eps, config.s)
     ys = config.alpha + config.beta * ts[: config.s] + eps
@@ -540,63 +499,8 @@ def _consistency_replicate(config, k_index, replicate):
         collection = sample_collection(
             ts, entry.n, config.variant, graph_seed, responses=ys
         )
-        prediction, _ = pred_graph_resp(
-            collection,
-            PredictConfig(
-                d=config.d,
-                radius=entry.radius,
-                l=config.l,
-                n_star=entry.n_star,
-                r=config.r,
-            ),
-        )
-        oracle = oracle_prediction(ts, ys, config.r)
-        return ReplicateRecord(
-            sq_gap=(prediction - oracle) ** 2, valid=True, **common
-        )
-    except NumericalError as exc:
-        logger.debug("K=%d replicate %d failed: %s", k_index, replicate, exc)
-        return ReplicateRecord(sq_gap=float("nan"), valid=False, **common)
-
-
-def _power_replicate(config, k_index, replicate):
-    entry = config.schedule(k_index)
-    rng, graph_seed = _replicate_streams(config.base_seed, k_index, replicate)
-    ts = rng.uniform(0.25, 1.0, entry.n_graphs)
-    eps = rng.normal(0.0, config.sigma_eps, config.s)
-    ys = config.alpha + config.beta * ts[: config.s] + eps
-    common = dict(
-        k_index=k_index,
-        replicate=replicate,
-        seed=graph_seed,
-        n=entry.n,
-        n_graphs=entry.n_graphs,
-        n_star=entry.n_star,
-        radius=entry.radius,
-    )
-    try:
-        report_true = f_test(ts[: config.s], ys, config.level)
-        fit_true = fit_slr(ts[: config.s], ys)
-        fitted_true = fit_true.intercept + fit_true.slope * ts[: config.s]
-        collection = sample_collection(
-            ts, entry.n, config.variant, graph_seed, responses=ys
-        )
-        z, _ = _embed_collection(
-            collection, config.d, entry.radius, config.l, entry.n_star
-        )
-        report_hat = f_test(z[: config.s], ys, config.level)
-        fit_hat = fit_slr(z[: config.s], ys)
-        fitted_hat = fit_hat.intercept + fit_hat.slope * z[: config.s]
-        sq_gap = float(((fitted_hat - fitted_true) ** 2).mean())
-        return ReplicateRecord(
-            sq_gap=sq_gap,
-            valid=True,
-            f_true=report_true.f_value,
-            f_hat=report_hat.f_value,
-            reject_true=report_true.reject,
-            reject_hat=report_hat.reject,
-            **common,
-        )
+        scores = _SCORES[config.kind](config, entry, collection, ts, ys)
+        return ReplicateRecord(valid=True, **common, **scores)
     except NumericalError as exc:
         logger.debug("K=%d replicate %d failed: %s", k_index, replicate, exc)
         return ReplicateRecord(sq_gap=float("nan"), valid=False, **common)
@@ -608,28 +512,20 @@ def _summarize(config, records):
         entry = config.schedule(k)
         mine = [r for r in records if r.k_index == k]
         valid = [r for r in mine if r.valid]
+        m = len(valid)
         gaps = np.array([r.sq_gap for r in valid])
+        nan = float("nan")
         extras = {}
         if config.kind == "power":
-            if valid:
-                m = len(valid)
-                pi_true = sum(r.reject_true for r in valid) / m
-                pi_hat = sum(r.reject_hat for r in valid) / m
-                extras = dict(
-                    pi_true=pi_true,
-                    pi_hat=pi_hat,
-                    abs_power_gap=abs(pi_hat - pi_true),
-                    se_true=math.sqrt(pi_true * (1.0 - pi_true) / m),
-                    se_hat=math.sqrt(pi_hat * (1.0 - pi_hat) / m),
-                )
-            else:
-                extras = dict(
-                    pi_true=float("nan"),
-                    pi_hat=float("nan"),
-                    abs_power_gap=float("nan"),
-                    se_true=float("nan"),
-                    se_hat=float("nan"),
-                )
+            pi_true = sum(r.reject_true for r in valid) / m if m else nan
+            pi_hat = sum(r.reject_hat for r in valid) / m if m else nan
+            extras = dict(
+                pi_true=pi_true,
+                pi_hat=pi_hat,
+                abs_power_gap=abs(pi_hat - pi_true),
+                se_true=math.sqrt(pi_true * (1.0 - pi_true) / m) if m else nan,
+                se_hat=math.sqrt(pi_hat * (1.0 - pi_hat) / m) if m else nan,
+            )
         summaries.append(
             KSummary(
                 k_index=k,
@@ -637,62 +533,37 @@ def _summarize(config, records):
                 n_graphs=entry.n_graphs,
                 n_star=entry.n_star,
                 radius=entry.radius,
-                n_valid=len(valid),
-                n_failed=len(mine) - len(valid),
-                mean_sq_gap=float(gaps.mean()) if valid else float("nan"),
-                median_sq_gap=float(np.median(gaps)) if valid else float("nan"),
+                n_valid=m,
+                n_failed=len(mine) - m,
+                mean_sq_gap=float(gaps.mean()) if m else nan,
+                median_sq_gap=float(np.median(gaps)) if m else nan,
                 **extras,
             )
         )
     return summaries
 
 
-def _summary_rows(config, summaries):
-    rows = []
-    for s in summaries:
-        row = {
-            "K": s.k_index,
-            "n": s.n,
-            "N": s.n_graphs,
-            "n_star": s.n_star,
-            "lambda": s.radius,
-            "n_valid": s.n_valid,
-            "n_failed": s.n_failed,
-            "mean_sq_gap": s.mean_sq_gap,
-            "median_sq_gap": s.median_sq_gap,
-        }
-        if config.kind == "power":
-            row.update(
-                pi_true=s.pi_true,
-                pi_hat=s.pi_hat,
-                abs_power_gap=s.abs_power_gap,
-                se_true=s.se_true,
-                se_hat=s.se_hat,
-            )
-        rows.append(row)
-    return rows
-
-
-def _run_experiment(config, replicate_fn, threads, out_dir):
+def _run_experiment(config, kind, threads, out_dir):
+    if config.kind != kind:
+        raise ValidationError(f"config.kind must be {kind!r}")
     start = time.perf_counter()
     tasks = [(k, j) for k in config.k_values for j in range(config.mc_replicates)]
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda t: replicate_fn(config, *t), tasks))
+            records = list(pool.map(lambda t: _replicate(config, *t), tasks))
     else:
-        records = [replicate_fn(config, k, j) for k, j in tasks]
+        records = [_replicate(config, k, j) for k, j in tasks]
     records.sort(key=lambda r: (r.k_index, r.replicate))
     summaries = _summarize(config, records)
     csv_paths = {}
     if out_dir is not None:
+        power = kind == "power"
         os.makedirs(out_dir, exist_ok=True)
         replicate_path = os.path.join(out_dir, "replicates.csv")
         summary_path = os.path.join(out_dir, "summary.csv")
-        io.write_replicate_records(
-            records, replicate_path, power=(config.kind == "power")
-        )
-        columns = POWER_SUMMARY_COLUMNS if config.kind == "power" else SUMMARY_COLUMNS
-        io.emit_csv(_summary_rows(config, summaries), summary_path, columns)
+        io.write_replicate_records(records, replicate_path, power=power)
+        fields = POWER_SUMMARY_FIELDS if power else SUMMARY_FIELDS
+        io.emit_records(summaries, summary_path, fields)
         csv_paths = {"replicates": replicate_path, "summary": summary_path}
     elapsed = time.perf_counter() - start
     failed = sum(1 for r in records if not r.valid)
@@ -715,16 +586,12 @@ def _run_experiment(config, replicate_fn, threads, out_dir):
 
 def run_consistency_experiment(config, threads=1, out_dir=None):
     """Monte Carlo squared-gap experiment; emits CSVs when out_dir is set."""
-    if config.kind != "consistency":
-        raise ValidationError("config.kind must be 'consistency'")
-    return _run_experiment(config, _consistency_replicate, threads, out_dir)
+    return _run_experiment(config, "consistency", threads, out_dir)
 
 
 def run_power_experiment(config, threads=1, out_dir=None):
     """Monte Carlo power-agreement experiment; emits CSVs when out_dir is set."""
-    if config.kind != "power":
-        raise ValidationError("config.kind must be 'power'")
-    return _run_experiment(config, _power_replicate, threads, out_dir)
+    return _run_experiment(config, "power", threads, out_dir)
 
 
 @dataclass(frozen=True)
@@ -781,41 +648,24 @@ def analyze_real_dataset(
     weights unless pooled_threshold pools them across the collection.
     """
     manifest = io.load_manifest(manifest_path)
-    graphs = [
-        io.load_weighted_edge_list(
-            manifest.graph_path(i, position), manifest.node_count
-        )
-        for i in range(manifest.n_series)
-    ]
-    threshold = None
-    if pooled_threshold:
-        pooled = [m for g in graphs for m in io.nonzero_weight_magnitudes(g)]
-        if not pooled:
-            raise ValidationError("no nonzero weights anywhere in the collection")
-        threshold = float(np.percentile(pooled, percentile))
-    adjacency = tuple(
-        io.censor_binarize(g, percentile, rule=symmetrize, threshold=threshold)
-        for g in graphs
+    collection = collection_from_manifest(
+        manifest, position, percentile, symmetrize, pooled_threshold=pooled_threshold
     )
-    labeled = manifest.labeled_count
+    labeled = collection.n_labeled
     if labeled < 3:
         raise DegenerateDesignError(
             "the F-test needs at least three labeled series"
         )
-    collection = GraphCollection(
-        graphs=adjacency, responses=manifest.responses[:labeled]
-    )
     n_graphs = collection.n_graphs
     l = n_graphs if l is None else l
     n_star = n_graphs if n_star is None else n_star
     if labeled > l:
         raise ValidationError(f"labeled count {labeled} exceeds l={l}")
-    scores, rho = sparse_mase(collection, d)
-    points = scaled_score_points(scores, collection.node_count)
-    upper = coords_matrix(points, upper_triangle=True)
+    z, diagnostics, upper = _embed_collection(
+        collection, d, radius, l, n_star, upper_triangle=True
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
         correlations = np.corrcoef(upper, rowvar=False)
-    z, trace, _ = isomap_1d(upper[:n_star], radius, l, full_output=True)
     ys = np.asarray(collection.responses, dtype=float)
     fit = fit_slr(z[:labeled], ys)
     test = f_test(z[:labeled], ys, level)
@@ -841,37 +691,20 @@ def analyze_real_dataset(
             labels,
         )
         report_path = os.path.join(out_dir, "test_report.csv")
-        io.emit_csv(
-            [
-                {
-                    "f_value": test.f_value,
-                    "df1": test.df[0],
-                    "df2": test.df[1],
-                    "critical_value": test.critical_value,
-                    "p_value": test.p_value,
-                    "reject": test.reject,
-                    "level": test.level,
-                    "intercept": fit.intercept,
-                    "slope": fit.slope,
-                    "sample_size": fit.sample_size,
-                    "sparsity": rho,
-                }
-            ],
-            report_path,
-            (
-                "f_value",
-                "df1",
-                "df2",
-                "critical_value",
-                "p_value",
-                "reject",
-                "level",
-                "intercept",
-                "slope",
-                "sample_size",
-                "sparsity",
-            ),
-        )
+        report = {
+            "f_value": test.f_value,
+            "df1": test.df[0],
+            "df2": test.df[1],
+            "critical_value": test.critical_value,
+            "p_value": test.p_value,
+            "reject": test.reject,
+            "level": test.level,
+            "intercept": fit.intercept,
+            "slope": fit.slope,
+            "sample_size": fit.sample_size,
+            "sparsity": diagnostics.sparsity,
+        }
+        io.emit_csv([report], report_path, tuple(report))
         csv_paths = {
             "embeddings": embeddings_path,
             "correlations": corr_path,
@@ -893,35 +726,45 @@ def analyze_real_dataset(
         node_count=manifest.node_count,
         labeled_count=labeled,
         position=position,
-        sparsity=rho,
+        sparsity=diagnostics.sparsity,
         correlations=correlations,
         embedding=z,
         responses=collection.responses,
         fit=fit,
         test=test,
-        stress=trace,
+        stress=diagnostics.stress,
         local_fit=local_fit,
         local_pseudo_r2=pseudo_r2,
         csv_paths=csv_paths,
     )
 
 
-def collection_from_manifest(manifest, position, percentile=25.0, symmetrize="max",
-                             s=None):
+def collection_from_manifest(
+    manifest, position, percentile=25.0, symmetrize="max", s=None,
+    pooled_threshold=False,
+):
     """Ingest the position-th graph of every series into a GraphCollection.
 
     s caps the labeled prefix (defaults to every labeled series); use it to
-    leave later series unlabeled for prediction targets.
+    leave later series unlabeled for prediction targets. Thresholds are
+    per-graph percentiles unless pooled_threshold pools the absolute nonzero
+    weights of every graph into one.
     """
-    graphs = tuple(
-        io.censor_binarize(
-            io.load_weighted_edge_list(
-                manifest.graph_path(i, position), manifest.node_count
-            ),
-            percentile,
-            rule=symmetrize,
+    graphs = [
+        io.load_weighted_edge_list(
+            manifest.graph_path(i, position), manifest.node_count
         )
         for i in range(manifest.n_series)
+    ]
+    threshold = None
+    if pooled_threshold:
+        pooled = [m for g in graphs for m in io.nonzero_weight_magnitudes(g)]
+        if not pooled:
+            raise ValidationError("no nonzero weights anywhere in the collection")
+        threshold = float(np.percentile(pooled, percentile))
+    adjacency = tuple(
+        io.censor_binarize(g, percentile, rule=symmetrize, threshold=threshold)
+        for g in graphs
     )
     labeled = manifest.labeled_count if s is None else s
     if labeled > manifest.labeled_count:
@@ -929,8 +772,7 @@ def collection_from_manifest(manifest, position, percentile=25.0, symmetrize="ma
             f"requested s={labeled} exceeds the {manifest.labeled_count} "
             "labeled series"
         )
-    responses = manifest.responses[:labeled]
-    return GraphCollection(graphs=graphs, responses=responses)
+    return GraphCollection(graphs=adjacency, responses=manifest.responses[:labeled])
 
 
 __all__ = [

@@ -266,3 +266,49 @@ def test_mase_long_format_csv(weighted_dataset, tmp_path, capsys):
     # score matrices are symmetric: (row, col) and (col, row) agree
     by_key = {(r["graph"], r["row"], r["col"]): r["value"] for r in rows}
     assert by_key[("3", "0", "1")] == by_key[("3", "1", "0")]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("k_values", 3),
+        ("k_values", [1, True]),
+        ("s", "3"),
+        ("s", True),
+        ("level", "x"),
+        ("variant", 1),
+        ("base_seed", -1),
+    ],
+)
+def test_simulate_config_wrong_type_exits_2(
+    tiny_config_path, tmp_path, capsys, key, value
+):
+    with open(tiny_config_path) as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code = main(
+        ["simulate", "consistency", "--config", str(path),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+def test_analyze_nstar_above_series_count_exits_2(weighted_dataset, capsys):
+    manifest_path, _ = weighted_dataset
+    code = main(
+        [
+            "analyze",
+            "--manifest", manifest_path,
+            "--position", "1",
+            "--d", "2",
+            "--lambda", "8.0",
+            "--nstar", "11",
+        ]
+    )
+    assert code == 2
+    assert "n_star=11 exceeds the number of graphs 10" in capsys.readouterr().err

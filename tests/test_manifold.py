@@ -1,5 +1,7 @@
 import itertools
+import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -128,6 +130,47 @@ def test_shortest_path_matches_brute_force_random_instances():
             continue
         delta = shortest_path_matrix(graph, 6)
         assert np.abs(delta - brute).max() < 1e-12
+
+
+def _networkx_oracle(points, radius):
+    """Localization graph built pair by pair with exact squared distances."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(points)))
+    for h, k in itertools.combinations(range(len(points)), 2):
+        gap = sum((a - b) ** 2 for a, b in zip(points[h], points[k]))
+        if gap < radius * radius:
+            graph.add_edge(h, k, weight=math.dist(points[h], points[k]))
+    return graph
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_localization_graph_matches_networkx(radius):
+    """A 12 x 12 grid with spacing 0.5 plus six repeated points, shuffled.
+
+    Squared distances are exact multiples of 0.25, so pairs exactly at the
+    radius (excluded) and coincident points (kept at weight 0) are exact.
+    At radius 0.5 only the coincident points are joined.
+    """
+    grid = [(0.5 * i, 0.5 * j) for i in range(12) for j in range(12)]
+    rng = np.random.default_rng(23)
+    points = grid + [grid[i] for i in rng.choice(len(grid), 6, replace=False)]
+    points = [points[i] for i in rng.permutation(len(points))]
+    l = 40
+    graph = localization_graph(np.array(points), radius)
+    oracle = _networkx_oracle(points, radius)
+    assert len(graph.edges) == oracle.number_of_edges()
+    for h, k, w in graph.edges:
+        assert h < k and oracle[h][k]["weight"] == w
+    sources = range(l)
+    if not all(nx.has_path(oracle, h, k) for h in sources for k in sources):
+        with pytest.raises(ConnectivityError):
+            shortest_path_matrix(graph, l)
+        return
+    delta = shortest_path_matrix(graph, l)
+    for h in sources:
+        lengths = nx.single_source_dijkstra_path_length(oracle, h)
+        expected = [lengths[k] for k in sources]
+        assert np.abs(delta[h] - expected).max() < 1e-12
 
 
 def test_raw_stress_hand_values():

@@ -93,15 +93,21 @@ def test_top_singular_vectors_warns_on_tied_boundary():
         top_left_singular_vectors(np.array([[0.0, 3.0], [3.0, 0.0]]), 1)
 
 
-def test_iterative_matches_dense():
+def test_iterative_matches_dense(monkeypatch):
+    """Above DENSE_MAX_N the cold Philox start agrees with dense eigh."""
+    n = mase.DENSE_MAX_N + 50
     rng = np.random.default_rng(11)
-    a = rng.standard_normal((50, 50))
-    a = (a + a.T) / 2.0
-    dense = top_left_singular_vectors(a, 3, method="dense")
-    iterative = top_left_singular_vectors(a, 3, method="iterative")
-    assert np.abs(_projector(dense) - _projector(iterative)).max() < 1e-8
-    with pytest.raises(ValidationError):
-        top_left_singular_vectors(a, 3, method="qr")
+    q, _ = np.linalg.qr(rng.standard_normal((n, 3)))
+    noise = rng.standard_normal((n, n)) / n
+    a = (q * [12.0, -9.0, 6.0]) @ q.T + (noise + noise.T) / 2.0
+    _, dense = mase._dense_eigenpairs(a, 3)
+    dense_calls = []
+    monkeypatch.setattr(
+        mase, "_dense_eigenpairs", lambda *args: dense_calls.append(args)
+    )
+    iterative = top_left_singular_vectors(a, 3)
+    assert not dense_calls  # the block iteration converged on its own
+    assert np.abs(_projector(dense) - _projector(iterative)).max() <= 1e-8
 
 
 def test_iterative_route_warns_on_tied_boundary():
@@ -225,14 +231,12 @@ def test_noiseless_exact_distance_recovery():
     assert np.abs(est - expected).max() < 1e-8
 
 
-def test_per_graph_basis_agrees_on_exact_subspace():
-    ts = np.linspace(0.3, 0.9, 5)
-    coll = noiseless_collection(ts, 20, "curve-B")
-    joint_scores, _ = sparse_mase(coll, 2, sparsity=1.0)
-    own_scores, _ = sparse_mase(coll, 2, per_graph_basis=True, sparsity=1.0)
-    d_joint = pairwise_frobenius(scaled_score_points(joint_scores, 20))
-    d_own = pairwise_frobenius(scaled_score_points(own_scores, 20))
-    assert np.abs(d_joint - d_own).max() < 1e-8
+def test_noiseless_collection_requires_sparsity_override():
+    coll = noiseless_collection(np.linspace(0.3, 0.9, 5), 20, "curve-B")
+    with pytest.raises(ValidationError, match="noiseless"):
+        sparse_mase(coll, 2)
+    scores, rho = sparse_mase(coll, 2, sparsity=1.0)
+    assert rho == 1.0 and len(scores) == 5
 
 
 def test_sparse_mase_argument_validation():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -173,6 +174,22 @@ def test_config_json_round_trip(tmp_path):
     consistency = _tiny_consistency()
     experiment_config_to_json(consistency, path)
     assert experiment_config_from_json(path) == consistency
+
+
+@pytest.mark.parametrize(
+    "factory, name",
+    [
+        (consistency_full_config, "consistency_full.json"),
+        (consistency_reduced_config, "consistency_reduced.json"),
+        (power_full_config, "power_full.json"),
+    ],
+)
+def test_presets_serialize_to_shipped_configs(tmp_path, factory, name):
+    shipped = pathlib.Path(__file__).resolve().parent.parent / "configs" / name
+    path = tmp_path / name
+    experiment_config_to_json(factory(), path)
+    assert path.read_bytes() == shipped.read_bytes()
+    assert experiment_config_from_json(shipped) == factory()
 
 
 def test_config_json_errors(tmp_path):
