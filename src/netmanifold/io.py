@@ -9,6 +9,7 @@ endings, repr-formatted floats that round-trip exactly, and no timestamps.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -49,17 +50,20 @@ EMBEDDING_COLUMNS = ("index", "z_hat", "response")
 SYMMETRIZE_RULES = ("max", "sum", "mean")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDigraph:
     """Directed weighted graph; parallel arcs are disallowed at parse time."""
 
     node_count: int
-    edges: tuple  # (src, dst, weight)
+    edges: np.ndarray  # (m, 3) float rows (src, dst, weight); sequences converted
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", np.asarray(self.edges, float).reshape(-1, 3))
 
     def dense_weights(self):
+        src, dst = self.edges[:, :2].astype(np.intp).T
         w = np.zeros((self.node_count, self.node_count))
-        for src, dst, weight in self.edges:
-            w[src, dst] = weight
+        w[src, dst] = self.edges[:, 2]
         return w
 
 
@@ -99,6 +103,16 @@ class DatasetManifest:
         return os.path.join(self.base_dir, self.series_paths[series][position - 1])
 
 
+@contextlib.contextmanager
+def open_text(path, **kwargs):
+    """open() a UTF-8 text file for reading; a decode error names the file."""
+    try:
+        with open(path, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 text: {exc}") from exc
+
+
 def load_weighted_edge_list(path, node_count=None):
     """Parse a ``src,dst,weight`` CSV file into a WeightedDigraph.
 
@@ -107,11 +121,11 @@ def load_weighted_edge_list(path, node_count=None):
     line numbers count the header as line 1. When node_count is None it is
     inferred as max id + 1.
     """
-    edges = []
+    values = []
     seen = set()
     max_id = -1
     dropped = 0
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["src", "dst", "weight"]:
@@ -137,7 +151,7 @@ def load_weighted_edge_list(path, node_count=None):
                     f"{path}: line {line_no}: duplicate arc ({src}, {dst})"
                 )
             seen.add((src, dst))
-            edges.append((src, dst, weight))
+            values += (src, dst, weight)
             max_id = max(max_id, src, dst)
     if node_count is None:
         node_count = max_id + 1
@@ -147,12 +161,13 @@ def load_weighted_edge_list(path, node_count=None):
         )
     if dropped:
         logger.info("%s: dropped %d self-loop row(s)", path, dropped)
-    return WeightedDigraph(node_count=int(node_count), edges=tuple(edges))
+    return WeightedDigraph(int(node_count), np.array(values, dtype=float))
 
 
 def nonzero_weight_magnitudes(graph):
     """Absolute values of the nonzero directed weights (threshold basis)."""
-    return [abs(w) for _, _, w in graph.edges if w != 0.0]
+    magnitudes = np.abs(graph.edges[:, 2])
+    return magnitudes[magnitudes != 0.0]
 
 
 def censor_binarize(graph, percentile=25.0, rule="max", threshold=None):
@@ -161,35 +176,31 @@ def censor_binarize(graph, percentile=25.0, rule="max", threshold=None):
     The threshold is the given percentile (linear interpolation) of the
     absolute nonzero directed weights of this graph, unless an explicit
     threshold is supplied (pooled-collection workflows). Reciprocal arcs are
-    merged by `rule` over their absolute weights (max by default), and an
-    undirected edge survives iff the merged weight strictly exceeds the
-    threshold.
+    merged by `rule` over their absolute weights (max by default; mean
+    counts zero-weight arcs), and an undirected edge survives iff the merged
+    weight strictly exceeds the threshold. Self-loop or repeated arcs raise.
     """
     if rule not in SYMMETRIZE_RULES:
         raise ValidationError(f"unknown symmetrize rule {rule!r}")
     if not 0.0 <= percentile <= 100.0:
         raise ValidationError("percentile must lie in [0, 100]")
+    n = graph.node_count
+    src, dst = graph.edges[:, :2].astype(np.intp).T
+    arcs = np.zeros((n, n), dtype=np.int8)
+    arcs[src, dst] = 1
+    if arcs.trace() or arcs.sum() != len(src):
+        raise ValidationError("self-loop or repeated arc in a graph to censor")
     if threshold is None:
         magnitudes = nonzero_weight_magnitudes(graph)
-        if not magnitudes:
+        if not magnitudes.size:
             raise DegenerateInputError("every edge weight is zero; nothing to censor")
         threshold = float(np.percentile(magnitudes, percentile))
-    n = graph.node_count
-    merged = {}
-    for src, dst, weight in graph.edges:
-        key = (min(src, dst), max(src, dst))
-        merged.setdefault(key, []).append(abs(weight))
-    adjacency = np.zeros((n, n))
-    for (i, j), mags in merged.items():
-        if rule == "max":
-            value = max(mags)
-        elif rule == "sum":
-            value = sum(mags)
-        else:
-            value = sum(mags) / len(mags)
-        if value > threshold:
-            adjacency[i, j] = adjacency[j, i] = 1.0
-    return adjacency
+    weights = np.abs(graph.dense_weights())
+    count = arcs + arcs.T
+    merged = np.maximum(weights, weights.T) if rule == "max" else weights + weights.T
+    if rule == "mean":
+        merged /= np.maximum(count, 1)
+    return ((count > 0) & (merged > threshold)).astype(float)
 
 
 def _manifest_error(json_path, message):
@@ -198,7 +209,7 @@ def _manifest_error(json_path, message):
 
 def load_manifest(path):
     """Load and validate a dataset manifest (JSON)."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -211,7 +222,7 @@ def load_manifest(path):
             "format_version", f"expected {MANIFEST_FORMAT_VERSION}, got {version!r}"
         )
     node_count = doc.get("node_count")
-    if not isinstance(node_count, int) or node_count < 1:
+    if type(node_count) is not int or node_count < 1:  # bools are rejected
         raise _manifest_error("node_count", "must be a positive integer")
     series = doc.get("series")
     if not isinstance(series, list) or not series:
@@ -278,6 +289,8 @@ def save_manifest(manifest, path):
 
 
 def _format_cell(value):
+    if isinstance(value, np.generic):
+        value = value.item()
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -17,12 +17,12 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import ConnectivityError, ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalizationGraph:
     """Undirected neighborhood graph: edge iff point distance < radius."""
 
     node_count: int
-    edges: tuple  # (i, j, weight) with i < j
+    edges: np.ndarray  # (m, 3) float rows (i, j, weight) with i < j
     radius: float
 
 
@@ -61,18 +61,17 @@ def localization_graph(points, radius):
         raise ValidationError("expected an (m, D) point array")
     dist = point_distances(x)
     rows, cols = np.nonzero(np.triu(dist < radius, k=1))
-    edges = tuple(zip(rows.tolist(), cols.tolist(), dist[rows, cols].tolist()))
+    edges = np.column_stack((rows, cols, dist[rows, cols]))
     return LocalizationGraph(node_count=x.shape[0], edges=edges, radius=float(radius))
 
 
 def _to_sparse(graph):
-    edges = np.array(graph.edges, dtype=float).reshape(-1, 3)
-    ends = edges[:, :2].astype(int)
-    rows = np.concatenate([ends[:, 0], ends[:, 1]])
-    cols = np.concatenate([ends[:, 1], ends[:, 0]])
-    data = np.concatenate([edges[:, 2], edges[:, 2]])
-    # explicit zero entries stay stored so coincident points remain joined
-    return csr_matrix((data, (rows, cols)), shape=(graph.node_count, graph.node_count))
+    # both directions of every edge; explicit zeros keep coincident points joined
+    i, j, w = graph.edges.T
+    rows = np.concatenate([i, j]).astype(np.intp)
+    cols = np.concatenate([j, i]).astype(np.intp)
+    n = graph.node_count
+    return csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
 
 
 def shortest_path_matrix(graph, l):
@@ -84,7 +83,8 @@ def shortest_path_matrix(graph, l):
     """
     if not 1 <= l <= graph.node_count:
         raise ValidationError(f"l={l} must lie in [1, {graph.node_count}]")
-    dist = dijkstra(_to_sparse(graph), directed=False, indices=np.arange(l))
+    # the CSR stores both directions, so a directed search sees every edge
+    dist = dijkstra(_to_sparse(graph), directed=True, indices=np.arange(l))
     block = dist[:, :l]
     if not np.isfinite(block).all():
         h, k = np.argwhere(~np.isfinite(block))[0]

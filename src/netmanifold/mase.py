@@ -12,7 +12,6 @@ singular vectors.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,51 +238,30 @@ def sparse_mase(collection, d, sparsity=None):
     return project_scores(collection.graphs, basis, rho), rho
 
 
-@dataclass(frozen=True)
-class ScaledScorePoint:
-    """Vectorized scaled score matrix Q̂ = R̂/n.
-
-    coords is the full column-stacked vec(Q̂) of length d*d; upper_triangle
-    reads the upper triangle (diagonal included) row by row, d*(d+1)/2
-    entries, the feature used for the real-data workflow.
-    """
-
-    coords: np.ndarray
-    upper_triangle: np.ndarray
-
-    @property
-    def dimension(self):
-        return int(round(np.sqrt(self.coords.size)))
-
-
 def scaled_score_points(scores, n):
-    """Scale score matrices by 1/n and vectorize them."""
+    """Scaled score matrices Q̂ = R̂/n as an (N, d, d) stack."""
     if n < 1:
         raise ValidationError("n must be positive")
-    points = []
-    for r in scores:
-        q = np.asarray(r, dtype=float) / n
-        d = q.shape[0]
-        points.append(
-            ScaledScorePoint(
-                coords=np.ravel(q, order="F"),
-                upper_triangle=q[np.triu_indices(d)],
-            )
-        )
-    return points
+    return np.asarray(scores, dtype=float) / n
 
 
-def coords_matrix(points, upper_triangle=False):
-    """Stack score points into an (N, D) array for the manifold stage."""
+def coords_matrix(stack, upper_triangle=False):
+    """Vectorize an (N, d, d) stack into the (N, D) points of the manifold stage.
+
+    Each row is the column-stacked vec(Q̂), d*d entries, or with
+    upper_triangle the upper triangle (diagonal included) read row by row,
+    d*(d+1)/2 entries, the feature used for the real-data workflow.
+    """
     if upper_triangle:
-        return np.array([p.upper_triangle for p in points])
-    return np.array([p.coords for p in points])
+        rows, cols = np.triu_indices(stack.shape[1])
+        return np.ascontiguousarray(stack[:, rows, cols])
+    return stack.transpose(0, 2, 1).reshape(len(stack), -1)
 
 
 def pairwise_frobenius(points):
-    """Euclidean distances between score points (= Frobenius on matrices)."""
-    x = points if isinstance(points, np.ndarray) else coords_matrix(points)
-    dist = point_distances(x)
+    """Frobenius distances within an (N, d, d) stack or (N, D) vectorized points."""
+    x = np.asarray(points, dtype=float)
+    dist = point_distances(x.reshape(len(x), -1))
     dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
     return dist

@@ -121,8 +121,8 @@ def _embed_collection(
             f"n_star={n_star} exceeds the number of graphs {collection.n_graphs}"
         )
     scores, rho = sparse_mase(collection, d, sparsity=sparsity)
-    points = scaled_score_points(scores, collection.node_count)
-    x = coords_matrix(points, upper_triangle=upper_triangle)
+    stack = scaled_score_points(scores, collection.node_count)
+    x = coords_matrix(stack, upper_triangle=upper_triangle)
     z, trace, _ = isomap_1d(x[:n_star], radius, l, full_output=True)
     return z, PredictDiagnostics(sparsity=rho, stress=trace, embedding=z), x
 
@@ -343,7 +343,7 @@ def experiment_config_from_json(path):
     Keys are the ExperimentConfig fields, with kind stored as "experiment".
     Float fields accept JSON integers as they are.
     """
-    with open(path) as fh:
+    with io.open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -546,9 +546,11 @@ def _summarize(config, records):
 def _run_experiment(config, kind, threads, out_dir):
     if config.kind != kind:
         raise ValidationError(f"config.kind must be {kind!r}")
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     start = time.perf_counter()
     tasks = [(k, j) for k in config.k_values for j in range(config.mc_replicates)]
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(lambda t: _replicate(config, *t), tasks))
     else:
@@ -758,8 +760,8 @@ def collection_from_manifest(
     ]
     threshold = None
     if pooled_threshold:
-        pooled = [m for g in graphs for m in io.nonzero_weight_magnitudes(g)]
-        if not pooled:
+        pooled = np.concatenate([io.nonzero_weight_magnitudes(g) for g in graphs])
+        if not pooled.size:
             raise ValidationError("no nonzero weights anywhere in the collection")
         threshold = float(np.percentile(pooled, percentile))
     adjacency = tuple(

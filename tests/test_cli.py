@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -233,6 +234,15 @@ def test_analyze_happy_path(weighted_dataset, tmp_path, capsys):
     header, rows = read_csv_rows(out / "test_report.csv")
     assert "f_value" in header and "p_value" in header
     assert len(rows) == 1
+    # every cell is a plain number, except the reject flag and absent responses
+    for name in ("embeddings", "correlations", "test_report", "local_fit"):
+        _, rows = read_csv_rows(out / f"{name}.csv")
+        for row in rows:
+            for column, cell in row.items():
+                if column == "reject":
+                    assert cell in ("true", "false")
+                elif not (column == "response" and cell == ""):
+                    float(cell)
 
 
 def test_analyze_position_out_of_range_exits_2(weighted_dataset, capsys):
@@ -312,3 +322,52 @@ def test_analyze_nstar_above_series_count_exits_2(weighted_dataset, capsys):
     )
     assert code == 2
     assert "n_star=11 exceeds the number of graphs 10" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "non-utf8-manifest",
+        "non-utf8-edge-list",
+        "non-utf8-config",
+        "bool-node-count",
+        "zero-threads",
+        "negative-threads",
+    ],
+)
+def test_bad_inputs_exit_2_without_traceback(
+    weighted_dataset, tiny_config_path, tmp_path, capsys, case
+):
+    manifest_path, _ = weighted_dataset
+    with open(manifest_path) as fh:
+        doc = json.load(fh)
+    base = os.path.dirname(manifest_path)
+    for entry in doc["series"]:
+        entry["graphs"] = [os.path.join(base, g) for g in entry["graphs"]]
+    bad = tmp_path / "bad.json"
+    analyze = ["analyze", "--manifest", str(bad), "--position", "1",
+               "--d", "2", "--lambda", "8.0"]
+    argv = ["simulate", "consistency", "--config", str(bad),
+            "--out", str(tmp_path / "o")]
+    expected = "bad.json"
+    if case == "non-utf8-manifest":
+        argv = analyze
+        bad.write_bytes(b'{"format_version": 1, "\xff": 0}')
+    elif case == "non-utf8-edge-list":
+        argv, expected = analyze, "bad.csv"
+        (tmp_path / "bad.csv").write_bytes(b"src,dst,weight\n0,1,1.0\xff\n")
+        doc["series"][0]["graphs"] = [str(tmp_path / "bad.csv")]
+        bad.write_text(json.dumps(doc))
+    elif case == "non-utf8-config":
+        bad.write_bytes(b'{"format_version": 1, "s": "\xe9"}')
+    elif case == "bool-node-count":
+        argv, expected = analyze, "node_count: must be a positive integer"
+        doc["node_count"] = True
+        bad.write_text(json.dumps(doc))
+    else:
+        argv[3], expected = tiny_config_path, "threads must be >= 1"
+        argv += ["--threads", "0" if case == "zero-threads" else "-3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert expected in err and "Traceback" not in err

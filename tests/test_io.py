@@ -21,6 +21,7 @@ from netmanifold.io import (
     EMBEDDING_COLUMNS,
     POWER_REPLICATE_COLUMNS,
     REPLICATE_COLUMNS,
+    SYMMETRIZE_RULES,
     WeightedDigraph,
     emit_csv,
     load_embeddings_csv,
@@ -42,7 +43,7 @@ def test_edge_list_parses(tmp_path):
     )
     graph = load_weighted_edge_list(path)
     assert graph.node_count == 3
-    assert graph.edges == ((0, 1, 2.5), (1, 0, -0.5), (2, 0, 1.0))
+    assert graph.edges.tolist() == [[0, 1, 2.5], [1, 0, -0.5], [2, 0, 1.0]]
     dense = graph.dense_weights()
     assert dense[0, 1] == 2.5 and dense[1, 0] == -0.5
 
@@ -51,14 +52,14 @@ def test_edge_list_empty_section(tmp_path):
     path = _write(tmp_path / "g.csv", "src,dst,weight\n")
     graph = load_weighted_edge_list(path, node_count=4)
     assert graph.node_count == 4
-    assert graph.edges == ()
+    assert graph.edges.shape == (0, 3)
 
 
 def test_edge_list_drops_self_loops_and_logs(tmp_path, caplog):
     path = _write(tmp_path / "g.csv", "src,dst,weight\n0,0,9.0\n0,1,1.0\n")
     with caplog.at_level(logging.INFO, logger="netmanifold.io"):
         graph = load_weighted_edge_list(path)
-    assert graph.edges == ((0, 1, 1.0),)
+    assert graph.edges.tolist() == [[0, 1, 1.0]]
     assert "1 self-loop" in caplog.text
 
 
@@ -122,6 +123,61 @@ def test_censor_validation():
         censor_binarize(ok, rule="min")
     with pytest.raises(ValidationError):
         censor_binarize(ok, percentile=101.0)
+
+
+def test_censor_rejects_self_loops_and_repeated_arcs():
+    loop = WeightedDigraph(2, ((0, 0, 5.0), (0, 1, 5.0)))
+    with pytest.raises(ValidationError, match="self-loop or repeated arc"):
+        censor_binarize(loop, threshold=1.0)
+    repeated = WeightedDigraph(2, ((0, 1, 5.0), (0, 1, 0.5)))
+    with pytest.raises(ValidationError, match="self-loop or repeated arc"):
+        censor_binarize(repeated, threshold=1.0)
+
+
+def _censor_by_pairs(n, edges, percentile, rule, threshold):
+    """censor_binarize spelled out one node pair at a time."""
+    if threshold is None:
+        magnitudes = [abs(w) for _, _, w in edges if w != 0.0]
+        threshold = float(np.percentile(magnitudes, percentile))
+    merged = {}
+    for src, dst, weight in edges:
+        merged.setdefault((min(src, dst), max(src, dst)), []).append(abs(weight))
+    adjacency = np.zeros((n, n))
+    for (i, j), mags in merged.items():
+        if rule == "max":
+            value = max(mags)
+        elif rule == "sum":
+            value = sum(mags)
+        else:
+            value = sum(mags) / len(mags)
+        if value > threshold:
+            adjacency[i, j] = adjacency[j, i] = 1.0
+    return adjacency
+
+
+_WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arcs=st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda a: a[0] != a[1]),
+        _WEIGHTS,
+        min_size=1,
+    ),
+    rule=st.sampled_from(SYMMETRIZE_RULES),
+    percentile=st.floats(0.0, 100.0),
+    threshold=st.none() | st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(0.0, 3.0),
+)
+def test_censor_matches_per_pair_merge(arcs, rule, percentile, threshold):
+    """One-way, reciprocal, zero and negative arcs merge as pair by pair."""
+    edges = [(src, dst, w) for (src, dst), w in arcs.items()]
+    if threshold is None and not any(w != 0.0 for _, _, w in edges):
+        return  # no threshold basis; covered by test_censor_validation
+    graph = WeightedDigraph(6, edges)
+    adjacency = censor_binarize(graph, percentile, rule=rule, threshold=threshold)
+    expected = _censor_by_pairs(6, edges, percentile, rule, threshold)
+    assert np.array_equal(adjacency, expected)
 
 
 @settings(max_examples=40, deadline=None)

@@ -68,7 +68,7 @@ def test_localization_graph_strict_inequality():
 def test_localization_graph_keeps_coincident_points_joined():
     points = np.array([[0.5], [0.5], [3.0]])
     graph = localization_graph(points, 1.0)
-    assert (0, 1, 0.0) in graph.edges
+    assert [0, 1, 0.0] in graph.edges.tolist()
     delta = shortest_path_matrix(graph, 2)
     assert delta[0, 1] == 0.0
 

@@ -252,16 +252,27 @@ def test_sparse_mase_argument_validation():
 
 
 def test_scaled_score_points_identity():
-    points = scaled_score_points([4.0 * np.eye(2)], 4)
-    assert points[0].coords.tolist() == [1.0, 0.0, 0.0, 1.0]
-    assert points[0].upper_triangle.tolist() == [1.0, 0.0, 1.0]
-    assert points[0].dimension == 2
+    stack = scaled_score_points([4.0 * np.eye(2)], 4)
+    assert stack.shape == (1, 2, 2)
+    assert coords_matrix(stack).tolist() == [[1.0, 0.0, 0.0, 1.0]]
+    assert coords_matrix(stack, upper_triangle=True).tolist() == [[1.0, 0.0, 1.0]]
 
 
 def test_coords_matrix_shapes():
-    points = scaled_score_points([np.eye(2), 2.0 * np.eye(2)], 1)
-    assert coords_matrix(points).shape == (2, 4)
-    assert coords_matrix(points, upper_triangle=True).shape == (2, 3)
+    stack = scaled_score_points([np.eye(2), 2.0 * np.eye(2)], 1)
+    assert coords_matrix(stack).shape == (2, 4)
+    assert coords_matrix(stack, upper_triangle=True).shape == (2, 3)
+
+
+def test_coords_matrix_entry_order_and_layout():
+    """Columns are stacked; the upper triangle is read row by row."""
+    q = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+    stack = scaled_score_points([q], 1)
+    full = coords_matrix(stack)
+    upper = coords_matrix(stack, upper_triangle=True)
+    assert full.tolist() == [[1.0, 4.0, 7.0, 2.0, 5.0, 8.0, 3.0, 6.0, 9.0]]
+    assert upper.tolist() == [[1.0, 2.0, 3.0, 5.0, 6.0, 9.0]]
+    assert full.flags.c_contiguous and upper.flags.c_contiguous
 
 
 def test_pairwise_frobenius_hand_values():
