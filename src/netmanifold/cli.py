@@ -33,9 +33,6 @@ def _common_flags():
         help="base seed (overrides the config's base_seed for simulate)",
     )
     common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for replicates"
-    )
-    common.add_argument(
         "--percentile",
         type=float,
         default=25.0,
@@ -74,6 +71,9 @@ def build_parser():
             type=int,
             default=None,
             help="override the config's Monte Carlo replicate count",
+        )
+        p.add_argument(
+            "--threads", type=int, default=1, help="worker threads for replicates"
         )
         p.add_argument("--out", required=True, help="output directory for CSVs")
         p.set_defaults(func=_cmd_simulate)

@@ -52,13 +52,27 @@ SYMMETRIZE_RULES = ("max", "sum", "mean")
 
 @dataclass(frozen=True, eq=False)
 class WeightedDigraph:
-    """Directed weighted graph; parallel arcs are disallowed at parse time."""
+    """Directed weighted graph; parallel arcs are disallowed at parse time.
+
+    Node ids must be integers in [0, node_count): numpy indexing would wrap
+    a negative id onto another node.
+    """
 
     node_count: int
     edges: np.ndarray  # (m, 3) float rows (src, dst, weight); sequences converted
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", np.asarray(self.edges, float).reshape(-1, 3))
+        edges = np.asarray(self.edges, float).reshape(-1, 3)
+        ids = edges[:, :2]
+        if ids.size and not (
+            ids.min() >= 0  # False for NaN
+            and ids.max() < self.node_count
+            and (ids == ids.astype(np.intp)).all()
+        ):
+            raise ValidationError(
+                f"node ids must be integers in [0, {self.node_count})"
+            )
+        object.__setattr__(self, "edges", edges)
 
     def dense_weights(self):
         src, dst = self.edges[:, :2].astype(np.intp).T

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from . import blas
 from .errors import ConnectivityError, ValidationError
 
 
@@ -126,7 +127,8 @@ def cmds_embed(delta):
         return np.zeros(1)
     centering = np.eye(l) - np.ones((l, l)) / l
     gram = -0.5 * centering @ (delta * delta) @ centering
-    eigvals, eigvecs = np.linalg.eigh(gram)
+    with blas.single_thread():  # eigh is not bit-stable across thread counts
+        eigvals, eigvecs = np.linalg.eigh(gram)
     top = eigvals[-1]
     if top <= 0.0:
         warnings.warn(

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 
+from . import blas
 from .errors import SparsityError, ValidationError
 from .manifold import point_distances
 
@@ -62,8 +63,13 @@ def _warn_on_tie(singular_values, d, stacklevel=3):
 
 
 def _dense_eigenpairs(a, k):
-    """All |eigenvalues| in descending order and the matching top-k eigenvectors."""
-    eigvals, eigvecs = np.linalg.eigh(a)
+    """All |eigenvalues| in descending order and the matching top-k eigenvectors.
+
+    eigh runs on one BLAS thread: its output is not bit-stable across thread
+    counts, and outputs must not depend on the thread count.
+    """
+    with blas.single_thread():
+        eigvals, eigvecs = np.linalg.eigh(a)
     order = np.argsort(-np.abs(eigvals), kind="stable")
     return np.abs(eigvals)[order], eigvecs[:, order[:k]]
 
@@ -79,7 +85,9 @@ def _subspace_iteration(a, d, start):
     top-d projector. A tied or slowly separating boundary never passes the
     test and falls back to dense eigh after _MAX_ITER steps.
 
-    Returns (singular values in descending order, (n, d) basis).
+    Returns (singular values in descending order, (n, d) basis, final block):
+    the block is the last orthonormal (n, k) iterate, or the dense top-k
+    eigenvectors after a fallback, where k is the column count of start.
     """
     q, _ = np.linalg.qr(start)
     for _ in range(_MAX_ITER):
@@ -91,9 +99,10 @@ def _subspace_iteration(a, d, start):
         residual = y @ s - (q @ s) * theta[order[:d]]
         gap = svals[d - 1] - (svals[d] if svals.size > d else 0.0)
         if np.linalg.norm(residual) < _RESIDUAL_TOL * gap:
-            return svals, q @ s
+            return svals, q @ s, q
         q, _ = np.linalg.qr(a @ y)
-    return _dense_eigenpairs(a, d)
+    svals, block = _dense_eigenpairs(a, q.shape[1])
+    return svals, block[:, :d], block
 
 
 def _top_basis(a, d, start=None):
@@ -102,17 +111,21 @@ def _top_basis(a, d, start=None):
     Dense eigh up to DENSE_MAX_N nodes, block iteration above. start seeds
     the iteration; without one it draws an (n, d+2) block from a fixed
     Philox stream, so both routes are deterministic.
+
+    Returns (basis, block): the iteration's final block, which can warm-start
+    the next graph, or None on the dense route.
     """
     n = a.shape[0]
+    block = None
     if n <= DENSE_MAX_N:
         svals, basis = _dense_eigenpairs(a, d)
     else:
         if start is None:
             rng = np.random.Generator(np.random.Philox(0x5EED5EED))
             start = rng.standard_normal((n, min(d + 2, n)))
-        svals, basis = _subspace_iteration(a, d, start)
+        svals, basis, block = _subspace_iteration(a, d, start)
     _warn_on_tie(svals, d, stacklevel=4)
-    return canonical_signs(basis)
+    return canonical_signs(basis), block
 
 
 def top_left_singular_vectors(a, d):
@@ -142,7 +155,7 @@ def top_left_singular_vectors(a, d):
         raise ValidationError("expected a square matrix")
     if not 1 <= d <= n:
         raise ValidationError(f"d={d} must satisfy 1 <= d <= n={n}")
-    return _top_basis(a, d)
+    return _top_basis(a, d)[0]
 
 
 def joint_subspace(bases, d):
@@ -158,13 +171,23 @@ def joint_subspace(bases, d):
 
 
 def estimate_sparsity(collection):
-    """Average edge density over all graphs: total edges / (N * C(n, 2))."""
+    """Average edge density over all graphs: total edges / (N * C(n, 2)).
+
+    Reads only the strict upper triangle of each graph, without copying it
+    out: in the flattened matrix, row i's part is [i(n+1) + 1, (i+1)n), and
+    one reduceat sums those ranges and the gaps between them, which [::2]
+    drops.
+    """
     n = collection.node_count
     if n < 2:
         raise ValidationError("sparsity needs n >= 2")
-    iu = np.triu_indices(n, k=1)
-    total = sum(float(a[iu].sum()) for a in collection.graphs)
-    return total / (collection.n_graphs * iu[0].size)
+    rows = np.arange(n - 1)
+    bounds = np.column_stack([rows * (n + 1) + 1, (rows + 1) * n]).ravel()
+    total = sum(
+        float(np.add.reduceat(a.ravel(), bounds)[::2].sum())
+        for a in collection.graphs
+    )
+    return total / (collection.n_graphs * (n * (n - 1) // 2))
 
 
 def project_scores(graphs, basis, sparsity):
@@ -203,10 +226,12 @@ def sparse_mase(collection, d, sparsity=None):
     (scores, sparsity) : list of (d, d) symmetric ndarrays, and the sparsity
     actually used.
 
-    Per-graph bases come from dense eigh up to DENSE_MAX_N nodes. Above it a
-    dense solve of graph 0 yields its top-(d+2) eigenvectors, which start the
-    block iteration of every graph (see top_left_singular_vectors); a graph
-    whose iteration reaches the cap falls back to dense eigh.
+    Per-graph bases come from dense eigh up to DENSE_MAX_N nodes. Above it
+    graph 0 runs the block iteration from the fixed Philox start (see
+    top_left_singular_vectors), and its final (n, d+2) block starts the
+    iteration of every other graph; a graph whose iteration reaches the cap
+    falls back to dense eigh, and for graph 0 the dense top-(d+2)
+    eigenvectors become the start.
     """
     n = collection.node_count
     if d > n:
@@ -223,17 +248,12 @@ def sparse_mase(collection, d, sparsity=None):
         rho = float(sparsity)
         if not 0.0 < rho <= 1.0:
             raise ValidationError("sparsity override must lie in (0, 1]")
-    start = None
-    if n > DENSE_MAX_N:
-        # COSIE graphs share one invariant subspace, so graph 0's dense
-        # top-(d+2) eigenvectors warm-start every graph's block iteration.
-        # The start depends on the collection alone, not on scheduling.
-        pilot = np.asarray(collection.graphs[0], dtype=float)
-        _, start = _dense_eigenpairs(pilot, min(d + 2, n))
-    bases = [
-        _top_basis(np.asarray(a, dtype=float), d, start=start)
-        for a in collection.graphs
-    ]
+    # COSIE graphs share one invariant subspace, so graph 0's final block
+    # warm-starts every other graph's block iteration. The start depends on
+    # the collection alone, not on scheduling.
+    graphs = [np.asarray(a, dtype=float) for a in collection.graphs]
+    first, start = _top_basis(graphs[0], d)
+    bases = [first] + [_top_basis(a, d, start=start)[0] for a in graphs[1:]]
     basis = joint_subspace(bases, d)
     return project_scores(collection.graphs, basis, rho), rho
 

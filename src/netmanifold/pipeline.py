@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import io
+from . import blas, io
 from .errors import DegenerateDesignError, NumericalError, ValidationError
 from .graphs import VARIANTS, GraphCollection, sample_collection
 from .manifold import StressTrace, isomap_1d
@@ -551,9 +551,13 @@ def _run_experiment(config, kind, threads, out_dir):
     start = time.perf_counter()
     tasks = [(k, j) for k in config.k_values for j in range(config.mc_replicates)]
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # Replicate threads would multiply with BLAS threads: one BLAS thread
+        # per worker, restored once the pool has drained.
+        with blas.single_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
+            blas_threads = blas.thread_count()
             records = list(pool.map(lambda t: _replicate(config, *t), tasks))
     else:
+        blas_threads = blas.thread_count()
         records = [_replicate(config, k, j) for k, j in tasks]
     records.sort(key=lambda r: (r.k_index, r.replicate))
     summaries = _summarize(config, records)
@@ -570,12 +574,15 @@ def _run_experiment(config, kind, threads, out_dir):
     elapsed = time.perf_counter() - start
     failed = sum(1 for r in records if not r.valid)
     logger.info(
-        "%s experiment: %d replicates over %d K values, %d failed, %.1fs",
+        "%s experiment: %d replicates over %d K values, %d failed, %.1fs, "
+        "%d replicate threads, %s BLAS threads",
         config.kind,
         len(records),
         len(config.k_values),
         failed,
         elapsed,
+        threads,
+        "unknown" if blas_threads is None else blas_threads,
     )
     return ExperimentResult(
         config=config,

@@ -144,6 +144,25 @@ def test_simulate_flag_conflicts_exit_2(tiny_config_path, tmp_path):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mase", "--d", "2", "--out", "m.csv"],
+        ["predict", "--position", "1", "--d", "2", "--lambda", "8.0",
+         "--l", "6", "--nstar", "10", "--r", "6"],
+        ["analyze", "--position", "1", "--d", "2", "--lambda", "8.0"],
+    ],
+    ids=["mase", "predict", "analyze"],
+)
+def test_threads_flag_only_on_simulate(weighted_dataset, capsys, argv):
+    """Only simulate runs replicates; elsewhere --threads is a usage error."""
+    manifest_path, _ = weighted_dataset
+    with pytest.raises(SystemExit) as exc_info:  # rejected before any output
+        main(argv + ["--manifest", manifest_path, "--threads", "0"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --threads 0" in capsys.readouterr().err
+
+
 def test_predict_happy_path(weighted_dataset, capsys):
     manifest_path, ts = weighted_dataset
     code = main(

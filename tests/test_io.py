@@ -134,6 +134,15 @@ def test_censor_rejects_self_loops_and_repeated_arcs():
         censor_binarize(repeated, threshold=1.0)
 
 
+@pytest.mark.parametrize(
+    "arc", [(0, -1, 5.0), (0, 3, 5.0), (0.5, 1, 5.0), (float("nan"), 1, 5.0)]
+)
+def test_weighted_digraph_rejects_bad_node_ids(arc):
+    # a -1 would wrap onto node 2 and join nodes 0 and 2 when censored
+    with pytest.raises(ValidationError, match=r"node ids must be integers in \[0, 3\)"):
+        WeightedDigraph(3, [arc])
+
+
 def _censor_by_pairs(n, edges, percentile, rule, threshold):
     """censor_binarize spelled out one node pair at a time."""
     if threshold is None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmanifold import (
     GraphCollection,
@@ -43,6 +45,25 @@ def test_estimate_sparsity_hand_count():
     b = np.zeros((3, 3))
     b[0, 2] = b[2, 0] = 1.0
     assert estimate_sparsity(GraphCollection(graphs=(a, b))) == 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=30),
+    n_graphs=st.integers(min_value=1, max_value=4),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_estimate_sparsity_matches_upper_triangle_gather(n, n_graphs, density, seed):
+    """Bitwise equal to the fancy-indexed strict upper triangle sum.
+
+    The 0/1 matrices are not symmetric, so a read below the diagonal shows.
+    """
+    rng = np.random.default_rng(seed)
+    graphs = tuple((rng.random((n, n)) < density).astype(float) for _ in range(n_graphs))
+    iu = np.triu_indices(n, k=1)
+    expected = sum(float(a[iu].sum()) for a in graphs) / (n_graphs * iu[0].size)
+    assert estimate_sparsity(GraphCollection(graphs=graphs)) == expected
 
 
 def test_estimate_sparsity_concentrates_on_constant_model():
@@ -128,8 +149,9 @@ def _record_solves(monkeypatch):
     top_basis, dense_eigenpairs = mase._top_basis, mase._dense_eigenpairs
 
     def recording_top_basis(*args, **kwargs):
-        bases.append(top_basis(*args, **kwargs))
-        return bases[-1]
+        basis, block = top_basis(*args, **kwargs)
+        bases.append(basis)
+        return basis, block
 
     def counting_dense_eigenpairs(a, k):
         dense_calls.append(k)
@@ -164,7 +186,7 @@ def test_warm_route_agrees_with_dense_eigh(monkeypatch, ts, n, seed, crossover):
     bases, dense_calls = _record_solves(monkeypatch)
     scores, _ = sparse_mase(coll, 2, sparsity=1.0)
     warm = list(bases)
-    fallbacks = len(dense_calls) - 1  # the first dense call is the pilot
+    fallbacks = len(dense_calls)  # every dense eigh call is a fallback
     if crossover is not None:
         assert fallbacks >= 1
     monkeypatch.setattr(mase, "DENSE_MAX_N", n)

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import pathlib
 
@@ -23,7 +24,7 @@ from netmanifold import (
     run_consistency_experiment,
     run_power_experiment,
 )
-from netmanifold import mase
+from netmanifold import blas, mase, pipeline
 from netmanifold.pipeline import (
     consistency_full_config,
     consistency_reduced_config,
@@ -250,6 +251,52 @@ def test_experiment_thread_determinism_above_dense_crossover():
     threaded = run_consistency_experiment(config, threads=3)
     assert all(r.valid for r in serial.records)
     assert serial.records == threaded.records
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Hold numpy's OpenBLAS at two threads, so serial runs are not pinned already."""
+    lib = blas._openblas()
+    if lib is None:
+        pytest.skip("no OpenBLAS found in the process")
+    get, put = lib
+    previous = get()
+    put(2)
+    yield
+    put(previous)
+
+
+def test_experiment_thread_determinism_on_dense_route(two_blas_threads):
+    """n=150 eigh differs between one and two BLAS threads; the pin hides it."""
+    config = _tiny_consistency(k_values=(1,), nodes_base=150)
+    assert config.schedule(1).n <= mase.DENSE_MAX_N
+    serial = run_consistency_experiment(config, threads=1)
+    pooled = run_consistency_experiment(config, threads=2)
+    assert all(r.valid for r in serial.records)
+    assert serial.records == pooled.records
+
+
+def test_replicate_pool_pins_blas_and_restores(monkeypatch, caplog, two_blas_threads):
+    config = _tiny_consistency(k_values=(1,))
+    seen, sample = [], pipeline.sample_collection
+
+    def recording_sample(*args, **kwargs):
+        seen.append(blas.thread_count())
+        return sample(*args, **kwargs)
+
+    def failing_sample(*args, **kwargs):
+        raise RuntimeError("replicate crashed")
+
+    monkeypatch.setattr(pipeline, "sample_collection", recording_sample)
+    with caplog.at_level(logging.INFO, logger="netmanifold.pipeline"):
+        run_consistency_experiment(config, threads=2)
+    assert seen == [1, 1, 1]
+    assert blas.thread_count() == 2
+    assert "2 replicate threads, 1 BLAS threads" in caplog.text
+    monkeypatch.setattr(pipeline, "sample_collection", failing_sample)
+    with pytest.raises(RuntimeError, match="replicate crashed"):
+        run_consistency_experiment(config, threads=2)
+    assert blas.thread_count() == 2
 
 
 def test_experiment_byte_identical_reruns(tmp_path):
