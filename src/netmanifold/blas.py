@@ -10,6 +10,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import threading
 
 
 @functools.cache
@@ -43,20 +44,37 @@ def thread_count():
     return None if lib is None else lib[0]()
 
 
+# The OpenBLAS thread count is process-wide, so the pins on it are counted
+# process-wide too: one thread's exit must not unpin another thread's eigh.
+_lock = threading.Lock()
+_pins = 0
+_saved = None
+
+
 @contextlib.contextmanager
 def single_thread():
-    """Hold numpy's OpenBLAS at one thread; restore the previous count on exit.
+    """Hold numpy's OpenBLAS at one thread while any thread is inside a pin.
 
-    A no-op without OpenBLAS or when the count is already 1, so nested use,
-    and use inside a pool that already holds one thread, never sets it.
+    The first entry saves the count and sets 1; the last exit, exceptions
+    included, restores it, so pins nest and overlap across threads. A no-op
+    without OpenBLAS.
     """
-    previous = thread_count()
-    if previous in (None, 1):
+    global _pins, _saved
+    lib = _openblas()
+    if lib is None:
         yield
         return
-    _, put = _openblas()
-    put(1)
+    get, put = lib
+    with _lock:
+        if _pins == 0:
+            _saved = get()
+            if _saved != 1:
+                put(1)
+        _pins += 1
     try:
         yield
     finally:
-        put(previous)
+        with _lock:
+            _pins -= 1
+            if _pins == 0 and _saved != 1:
+                put(_saved)

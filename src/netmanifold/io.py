@@ -336,15 +336,26 @@ def _parse_bool(text):
 
 
 def read_csv_rows(path, expected_columns=None):
-    """Read a CSV written by emit_csv back into a list of dicts (strings)."""
-    with open(path, newline="") as fh:
+    """Read a CSV written by emit_csv back into a list of dicts (strings).
+
+    Every row must have as many fields as the header.
+    """
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"{path}: empty file")
         if expected_columns is not None and tuple(header) != tuple(expected_columns):
             raise ValidationError(f"{path}: unexpected header {header}")
-        return tuple(header), [dict(zip(header, row)) for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} "
+                    f"fields, got {len(row)}"
+                )
+            rows.append(dict(zip(header, row)))
+        return tuple(header), rows
 
 
 def emit_records(records, path, fields):
@@ -353,14 +364,12 @@ def emit_records(records, path, fields):
     emit_csv(rows, path, [column for column, _ in fields])
 
 
-def write_replicate_records(records, path, power=None):
-    """Emit per-replicate records; schema widens when F columns are present.
+def write_replicate_records(records, path, power):
+    """Emit per-replicate records; power runs add the F-test columns.
 
-    power=None sniffs the schema from the records; pass an explicit bool to
-    pin it (needed when every power replicate failed before its F-test).
+    The schema follows the experiment kind, not the records: a power run
+    whose replicates all failed before their F-test keeps the F columns.
     """
-    if power is None:
-        power = any(r.f_true is not None for r in records)
     emit_records(records, path, POWER_REPLICATE_FIELDS if power else REPLICATE_FIELDS)
 
 
@@ -378,16 +387,25 @@ def load_replicate_records(path):
     types = typing.get_type_hints(ReplicateRecord)
     optional = {attr for _, attr in _F_TEST_FIELDS}
     parsers = {int: int, float: float, bool: _parse_bool}
+
+    def parse(line, column, attr, text):
+        if attr in optional and not text:
+            return None
+        try:
+            return parsers[types[attr]](text)
+        except ValueError as exc:
+            message = f"{path}: line {line}, column {column}: {exc}"
+            raise ValidationError(message) from exc
+
+    # emit_csv writes one record per line, after the header on line 1
     return [
         ReplicateRecord(
             **{
-                attr: None
-                if attr in optional and not row[column]
-                else parsers[types[attr]](row[column])
+                attr: parse(line, column, attr, row[column])
                 for column, attr in schemas[header]
             }
         )
-        for row in rows
+        for line, row in enumerate(rows, start=2)
     ]
 
 

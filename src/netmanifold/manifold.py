@@ -17,6 +17,10 @@ from scipy.sparse.csgraph import dijkstra
 from . import blas
 from .errors import ConnectivityError, ValidationError
 
+# SMACOF stops at this relative stress decrease, or after this many steps.
+SMACOF_TOL = 1e-8
+SMACOF_MAX_ITER = 1000
+
 
 @dataclass(frozen=True, eq=False)
 class LocalizationGraph:
@@ -146,22 +150,20 @@ def cmds_embed(delta):
     return z - z.mean()
 
 
-def smacof_minimize(delta, z0, tol=1e-8, max_iter=1000):
+def smacof_minimize(delta, z0):
     """Minimize raw stress by iterative majorization (unit weights, 1-D).
 
     The update is z+_h = (1/l) sum_k [z_k + delta_hk * sgn(z_h - z_k)] with
     sgn(0) = 0, a monotone-descent step. Stops when the relative stress
-    decrease drops below tol or max_iter is reached. If floating point ever
-    produces an increase, the previous iterate is kept and iteration stops,
-    so the trace is non-increasing unconditionally.
+    decrease drops below SMACOF_TOL or after SMACOF_MAX_ITER steps. If
+    floating point ever produces an increase, the previous iterate is kept
+    and iteration stops, so the trace is non-increasing unconditionally.
 
     Returns (embedding centered at zero, StressTrace).
     """
     delta = np.asarray(delta, dtype=float)
     if not np.isfinite(delta).all():
         raise ValidationError("dissimilarities must be finite")
-    if tol <= 0.0 or max_iter < 1:
-        raise ValidationError("need tol > 0 and max_iter >= 1")
     z = np.asarray(z0, dtype=float)
     if delta.shape != (z.size, z.size):
         raise ValidationError("dissimilarity matrix shape does not match z0")
@@ -170,7 +172,7 @@ def smacof_minimize(delta, z0, tol=1e-8, max_iter=1000):
     stress = raw_stress(z, delta)
     trace = [stress]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(SMACOF_MAX_ITER):
         if stress == 0.0:
             converged = True
             break
@@ -183,7 +185,7 @@ def smacof_minimize(delta, z0, tol=1e-8, max_iter=1000):
             break
         z = z_next
         trace.append(stress_next)
-        if (stress - stress_next) < tol * stress:
+        if (stress - stress_next) < SMACOF_TOL * stress:
             converged = True
             stress = stress_next
             break

@@ -1,8 +1,6 @@
 """Simple linear regression on embeddings, F-testing, and a local-linear fit.
 
-The F distribution is evaluated through a hand-rolled regularized incomplete
-beta function (continued fraction), keeping critical values bit-stable with
-no statistics dependency; quantiles come from bisection on the CDF.
+F quantiles and survival values come from scipy.special.
 """
 
 import math
@@ -98,134 +96,43 @@ def f_statistic(ys, fitted):
     return (s - 2) * ssr / sse
 
 
-def _beta_continued_fraction(a, b, x):
-    # Lentz's algorithm for the incomplete beta continued fraction.
-    max_iter = 300
-    eps = 3e-16
-    fpmin = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < eps:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a, b, x):
-    """I_x(a, b), the regularized incomplete beta function."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValidationError("beta parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(1.0 - x)
-    )
-    front = math.exp(log_front)
-    # continued fraction converges fast below the symmetry point
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
-def f_cdf(f, df1, df2):
-    """CDF of the F distribution with (df1, df2) degrees of freedom."""
-    if df1 < 1 or df2 < 1:
-        raise ValidationError("degrees of freedom must be >= 1")
-    if math.isnan(f) or f <= 0.0:
-        return 0.0
-    if math.isinf(f):
-        return 1.0
-    x = df1 * f / (df1 * f + df2)
-    return regularized_incomplete_beta(df1 / 2.0, df2 / 2.0, x)
-
-
 def f_quantile(p, df1, df2):
-    """Quantile of the F(df1, df2) distribution by bisection to 1e-10."""
+    """Quantile of the F(df1, df2) distribution."""
     if not 0.0 < p < 1.0:
         raise ValidationError("quantile probability must lie in (0, 1)")
-    lo, hi = 0.0, 1.0
-    while f_cdf(hi, df1, df2) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValidationError("quantile bracket exploded; p too close to 1")
-    while hi - lo > 1e-10:
-        mid = (lo + hi) / 2.0
-        if f_cdf(mid, df1, df2) < p:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    if df1 < 1 or df2 < 1:
+        raise ValidationError("degrees of freedom must be >= 1")
+    from scipy.special import fdtri  # on first use: consistency runs never need it
 
-
-def f_quantile_and_pvalue(f, df2, level):
-    """Critical value at the given level and the p-value of f, for F(1, df2).
-
-    A non-finite statistic (the perfect-fit signal) gets p = 0.
-    """
-    if df2 < 1:
-        raise ValidationError("df2 must be >= 1")
-    if not 0.0 < level < 1.0:
-        raise ValidationError("level must lie in (0, 1)")
-    critical = f_quantile(1.0 - level, 1, df2)
-    if not math.isfinite(f):
-        return critical, 0.0
-    p = 1.0 - f_cdf(f, 1, df2)
-    return critical, min(max(p, 0.0), 1.0)
+    return float(fdtri(df1, df2, p))
 
 
 def f_test(zs, ys, level=0.05):
     """Test H0: slope = 0 against a two-sided alternative.
 
     Fits the line, forms the F-statistic from its fitted values, and
-    compares against the (1 - level) quantile of F(1, s - 2).
+    compares against the (1 - level) quantile of F(1, s - 2). The p-value
+    is the F(1, s - 2) survival function at the statistic, so a perfect fit
+    (infinite statistic) gets p = 0.
     """
     z = _as_1d("regressors", zs)
     y = _as_1d("responses", ys)
     if z.size < 3:
         raise ValidationError("the F-test needs at least 3 labeled points")
+    if not 0.0 < level < 1.0:
+        raise ValidationError("level must lie in (0, 1)")
     fit = fit_slr(z, y)
     fitted = fit.intercept + fit.slope * z
     f_value = f_statistic(y, fitted)
     df2 = z.size - 2
-    critical, p_value = f_quantile_and_pvalue(f_value, df2, level)
+    critical = f_quantile(1.0 - level, 1, df2)
+    from scipy.special import fdtrc  # on first use: consistency runs never need it
+
     return TestReport(
         f_value=f_value,
         df=(1, df2),
         critical_value=critical,
-        p_value=p_value,
+        p_value=float(fdtrc(1, df2, f_value)),
         reject=f_value > critical,
         level=level,
     )

@@ -1,4 +1,4 @@
-"""Shared fixtures: synthetic weighted-digraph datasets on disk."""
+"""Shared fixtures: synthetic weighted-digraph datasets on disk, BLAS threads."""
 
 import json
 import os
@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from netmanifold import sample_collection
+from netmanifold import blas, sample_collection
 
 
 def build_weighted_dataset(
@@ -68,3 +68,16 @@ def weighted_dataset(tmp_path_factory):
     """(manifest_path, ts) for a 10-series single-position dataset."""
     root = tmp_path_factory.mktemp("dataset")
     return build_weighted_dataset(root)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Hold numpy's OpenBLAS at two threads, so serial runs are not pinned already."""
+    lib = blas._openblas()
+    if lib is None:
+        pytest.skip("no OpenBLAS found in the process")
+    get, put = lib
+    previous = get()
+    put(2)
+    yield
+    put(previous)

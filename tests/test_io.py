@@ -341,7 +341,7 @@ def _record(j, **overrides):
 def test_replicate_records_round_trip(tmp_path):
     records = [_record(j) for j in range(100)]
     path = tmp_path / "r.csv"
-    write_replicate_records(records, path)
+    write_replicate_records(records, path, power=False)
     header, _ = read_csv_rows(path)
     assert header == REPLICATE_COLUMNS
     again = load_replicate_records(path)
@@ -352,7 +352,7 @@ def test_replicate_records_round_trip(tmp_path):
 
 def test_replicate_records_single_row(tmp_path):
     path = tmp_path / "one.csv"
-    write_replicate_records([_record(0)], path)
+    write_replicate_records([_record(0)], path, power=False)
     assert len(path.read_bytes().splitlines()) == 2
     assert load_replicate_records(path) == [_record(0)]
 
@@ -369,6 +369,26 @@ def test_power_records_round_trip_with_failures(tmp_path):
     assert again[1].valid is False
     assert math.isnan(again[1].sq_gap)
     assert again[1].f_hat is None and again[1].reject_hat is None
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda data: data + b"\xff", "not valid UTF-8"),
+        (lambda data: data + b"1,0,5\n", "line 4: expected 13 fields, got 3"),
+        (lambda data: data.replace(b"\n1,", b"\nx,", 1), "line 2, column K: "),
+    ],
+    ids=["non-utf8", "short-row", "bad-int-cell"],
+)
+def test_load_replicate_records_rejects_malformed_files(tmp_path, corrupt, message):
+    ok = _record(0, f_true=12.5, f_hat=9.0, reject_true=True, reject_hat=False)
+    failed = _record(1, sq_gap=float("nan"), valid=False)
+    path = tmp_path / "replicates.csv"
+    write_replicate_records([ok, failed], path, power=True)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValidationError, match=message) as excinfo:
+        load_replicate_records(path)
+    assert str(path) in str(excinfo.value)
 
 
 def test_power_schema_pinned_when_all_failed(tmp_path):

@@ -250,8 +250,6 @@ def test_smacof_validation():
         smacof_minimize(delta, np.zeros(3))
     with pytest.raises(ValidationError):
         smacof_minimize(np.array([[0.0, np.inf], [np.inf, 0.0]]), np.zeros(2))
-    with pytest.raises(ValidationError):
-        smacof_minimize(delta, np.zeros(2), tol=0.0)
 
 
 def test_isomap_single_source():

@@ -253,19 +253,6 @@ def test_experiment_thread_determinism_above_dense_crossover():
     assert serial.records == threaded.records
 
 
-@pytest.fixture
-def two_blas_threads():
-    """Hold numpy's OpenBLAS at two threads, so serial runs are not pinned already."""
-    lib = blas._openblas()
-    if lib is None:
-        pytest.skip("no OpenBLAS found in the process")
-    get, put = lib
-    previous = get()
-    put(2)
-    yield
-    put(previous)
-
-
 def test_experiment_thread_determinism_on_dense_route(two_blas_threads):
     """n=150 eigh differs between one and two BLAS threads; the pin hides it."""
     config = _tiny_consistency(k_values=(1,), nodes_base=150)
