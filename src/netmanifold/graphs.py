@@ -6,6 +6,8 @@ is seeded with ``base_seed ^ k`` (k counted from 0).
 """
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +77,11 @@ def membership_onehot(assignment):
     return z
 
 
-def probability_matrix(assignment, block):
-    """Expand block probabilities to the n x n edge probability matrix."""
-    assignment = np.asarray(assignment)
+def _check_block(assignment, block):
+    """The block matrix as floats, after the checks every expansion needs.
+
+    assignment is an array of community labels.
+    """
     block = np.asarray(block, dtype=float)
     if assignment.max() >= block.shape[0]:
         raise ValidationError("community index out of range for the block matrix")
@@ -85,7 +89,35 @@ def probability_matrix(assignment, block):
         raise ValidationError("block matrix must be symmetric")
     if block.min() < 0.0 or block.max() > 1.0:
         raise ValidationError("block probabilities must lie in [0, 1]")
+    return block
+
+
+def probability_matrix(assignment, block):
+    """Expand block probabilities to the n x n edge probability matrix."""
+    assignment = np.asarray(assignment)
+    block = _check_block(assignment, block)
     return block[np.ix_(assignment, assignment)]
+
+
+def _sample_upper(levels, rows, seed):
+    """Symmetric hollow bool graph: edge {i, j}, i < j, iff u_ij < levels[rows[i], j].
+
+    One Philox stream per graph fills the strict upper triangle with uniform
+    draws u, row by row. Row i compares its draws with the thresholds
+    levels[rows[i], i+1:], a view, straight into the bool matrix, which is
+    then mirrored.
+    """
+    n = levels.shape[1]
+    rng = np.random.Generator(np.random.Philox(_check_seed(seed)))
+    u = rng.random(n * (n - 1) // 2)
+    a = np.zeros((n, n), dtype=bool)
+    off = 0
+    for i in range(n - 1):
+        m = n - 1 - i
+        np.less(u[off : off + m], levels[rows[i], i + 1 :], out=a[i, i + 1 :])
+        off += m
+    a |= a.T
+    return a
 
 
 def sample_adjacency(p, seed):
@@ -101,13 +133,7 @@ def sample_adjacency(p, seed):
         raise ValidationError("probability matrix must be square")
     if p.min() < 0.0 or p.max() > 1.0:
         raise ValidationError("edge probabilities must lie in [0, 1]")
-    rng = np.random.Generator(np.random.Philox(_check_seed(seed)))
-    iu = np.triu_indices(n, k=1)
-    draws = (rng.random(iu[0].size) < p[iu]).astype(float)
-    a = np.zeros((n, n))
-    a[iu] = draws
-    a += a.T
-    return a
+    return _sample_upper(p, np.arange(n), seed).astype(float)
 
 
 @dataclass(frozen=True)
@@ -151,16 +177,81 @@ def msbm_to_cosie(assignment, blocks, sparsity=1.0):
     return CosieParameters(subspace=subspace, scores=tuple(scores), sparsity=sparsity)
 
 
+class GraphStore(Sequence):
+    """The graphs of a collection; item k is graph k as a float64 (n, n) array.
+
+    Binary graphs are held as packed bit rows (np.packbits along each row,
+    ceil(n/8) bytes per row) and unpacked on every access, so a reader that
+    takes one item at a time holds one float graph. Real-valued (noiseless)
+    graphs are held as float64 arrays. The constructor trusts its items;
+    from_arrays validates them first.
+    """
+
+    def __init__(self, items, node_count, binary):
+        self._items = tuple(items)
+        self.node_count = node_count
+        self.binary = binary
+
+    @classmethod
+    def from_arrays(cls, graphs, binary):
+        """Validate square matrices on a shared node set and store them.
+
+        Binary graphs must be 0/1, symmetric and hollow; real-valued ones
+        finite, symmetric and in [0, 1]. Raises ValidationError naming the
+        first graph that breaks a rule.
+        """
+        graphs = [np.asarray(a, dtype=float) for a in graphs]
+        n = graphs[0].shape[0] if graphs[0].ndim else 0
+        for k, a in enumerate(graphs):
+            if n < 1 or a.shape != (n, n):
+                raise ValidationError("graphs must be square, on one node set")
+            if binary:
+                # every nonzero entry, NaN included, must be a 1
+                bits = a == 1.0
+                if np.count_nonzero(bits) != np.count_nonzero(a):
+                    raise ValidationError(f"graph {k} has an entry other than 0 and 1")
+                a = bits
+            elif not (np.isfinite(a).all() and 0.0 <= a.min() <= a.max() <= 1.0):
+                raise ValidationError(f"graph {k} has an entry outside [0, 1]")
+            if not (a == a.T).all():
+                raise ValidationError(f"graph {k} is not symmetric")
+            if binary:
+                if a.diagonal().any():
+                    raise ValidationError(f"graph {k} has a self-loop")
+                graphs[k] = np.packbits(a, axis=1)
+        return cls(graphs, n, binary)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, k):
+        item = self._items[operator.index(k)]
+        if not self.binary:
+            return item
+        return np.unpackbits(item, axis=1, count=self.node_count).astype(float)
+
+    def edge_count(self):
+        """Undirected edges over all graphs, an exact integer popcount.
+
+        Each edge sets two bits, one in each endpoint's row; the padding bits
+        of a packed row are zero.
+        """
+        if not self.binary:
+            raise ValidationError("edge counts need binary graphs")
+        return sum(int(np.bitwise_count(rows).sum()) for rows in self._items) // 2
+
+
 @dataclass(frozen=True)
 class GraphCollection:
     """Ordered graphs on a shared node set, responses on the first s.
 
     true_regressors holds the generating t's in simulations; real data has
     none. Adjacency matrices are real-valued in noiseless mode, binary
-    otherwise.
+    otherwise. Matrices passed in are validated and stored in a GraphStore,
+    which graphs then holds.
     """
 
-    graphs: tuple
+    graphs: GraphStore
     responses: tuple = None
     true_regressors: tuple = None
     noiseless: bool = field(default=False, compare=False)
@@ -168,10 +259,13 @@ class GraphCollection:
     def __post_init__(self):
         if len(self.graphs) == 0:
             raise ValidationError("a collection needs at least one graph")
-        n = self.graphs[0].shape[0]
-        for a in self.graphs:
-            if a.shape != (n, n):
-                raise ValidationError("all graphs must share the node set")
+        if not isinstance(self.graphs, GraphStore):
+            store = GraphStore.from_arrays(self.graphs, binary=not self.noiseless)
+            object.__setattr__(self, "graphs", store)
+        elif self.graphs.binary == self.noiseless:
+            raise ValidationError(
+                "noiseless collections hold real-valued graphs, the others binary ones"
+            )
         if self.responses is not None:
             if len(self.responses) > len(self.graphs):
                 raise ValidationError("more responses than graphs")
@@ -180,7 +274,7 @@ class GraphCollection:
 
     @property
     def node_count(self):
-        return self.graphs[0].shape[0]
+        return self.graphs.node_count
 
     @property
     def n_graphs(self):
@@ -199,16 +293,19 @@ def sample_collection(ts, n, variant, base_seed, responses=None):
     """Sample one graph per t from the balanced 2-block model.
 
     Graph k is seeded with base_seed ^ k, so collections are reproducible
-    and individual graphs can be re-sampled in isolation.
+    and individual graphs can be re-sampled in isolation. Row i of graph k
+    reads its edge probabilities from the block labels, B[z_i, z_j] for
+    j > i, and the sampled bits go to the store packed.
     """
     base_seed = _check_seed(base_seed)
     assignment = balanced_membership(n, 2)
-    graphs = []
+    rows = []
     for k, block in enumerate(_block_sequence(ts, variant)):
-        p = probability_matrix(assignment, block)
-        graphs.append(sample_adjacency(p, base_seed ^ k))
+        levels = _check_block(assignment, block)[:, assignment]
+        a = _sample_upper(levels, assignment, base_seed ^ k)
+        rows.append(np.packbits(a, axis=1))
     return GraphCollection(
-        graphs=tuple(graphs),
+        graphs=GraphStore(rows, n, binary=True),
         responses=None if responses is None else tuple(float(y) for y in responses),
         true_regressors=tuple(float(t) for t in ts),
     )

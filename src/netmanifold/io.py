@@ -335,6 +335,13 @@ def _parse_bool(text):
     raise ValidationError(f"expected 'true' or 'false', got {text!r}")
 
 
+def _parse_cell(path, line, column, parser, text):
+    try:
+        return parser(text)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: line {line}, column {column}: {exc}") from exc
+
+
 def read_csv_rows(path, expected_columns=None):
     """Read a CSV written by emit_csv back into a list of dicts (strings).
 
@@ -391,11 +398,7 @@ def load_replicate_records(path):
     def parse(line, column, attr, text):
         if attr in optional and not text:
             return None
-        try:
-            return parsers[types[attr]](text)
-        except ValueError as exc:
-            message = f"{path}: line {line}, column {column}: {exc}"
-            raise ValidationError(message) from exc
+        return _parse_cell(path, line, column, parsers[types[attr]], text)
 
     # emit_csv writes one record per line, after the header on line 1
     return [
@@ -423,7 +426,10 @@ def load_embeddings_csv(path):
     _, rows = read_csv_rows(path, EMBEDDING_COLUMNS)
     embedding = []
     responses = []
-    for row in rows:
-        embedding.append(float(row["z_hat"]))
-        responses.append(float(row["response"]) if row["response"] != "" else None)
+    for line, row in enumerate(rows, start=2):
+        embedding.append(_parse_cell(path, line, "z_hat", float, row["z_hat"]))
+        response = row["response"]
+        responses.append(
+            _parse_cell(path, line, "response", float, response) if response else None
+        )
     return embedding, responses

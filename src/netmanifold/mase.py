@@ -173,20 +173,13 @@ def joint_subspace(bases, d):
 def estimate_sparsity(collection):
     """Average edge density over all graphs: total edges / (N * C(n, 2)).
 
-    Reads only the strict upper triangle of each graph, without copying it
-    out: in the flattened matrix, row i's part is [i(n+1) + 1, (i+1)n), and
-    one reduceat sums those ranges and the gaps between them, which [::2]
-    drops.
+    The edge total is an exact integer popcount of the packed graphs, so the
+    estimate is the correctly rounded quotient. Binary collections only.
     """
     n = collection.node_count
     if n < 2:
         raise ValidationError("sparsity needs n >= 2")
-    rows = np.arange(n - 1)
-    bounds = np.column_stack([rows * (n + 1) + 1, (rows + 1) * n]).ravel()
-    total = sum(
-        float(np.add.reduceat(a.ravel(), bounds)[::2].sum())
-        for a in collection.graphs
-    )
+    total = collection.graphs.edge_count()
     return total / (collection.n_graphs * (n * (n - 1) // 2))
 
 
@@ -209,7 +202,9 @@ def sparse_mase(collection, d, sparsity=None):
     """Estimate score matrices for every graph in the collection.
 
     Every graph is projected onto the joint subspace estimated from all
-    per-graph bases.
+    per-graph bases. Two passes stream over the collection's store, each
+    holding one float64 graph at a time: the first computes the per-graph
+    bases, the second (project_scores) the scores.
 
     Parameters
     ----------
@@ -251,9 +246,9 @@ def sparse_mase(collection, d, sparsity=None):
     # COSIE graphs share one invariant subspace, so graph 0's final block
     # warm-starts every other graph's block iteration. The start depends on
     # the collection alone, not on scheduling.
-    graphs = [np.asarray(a, dtype=float) for a in collection.graphs]
-    first, start = _top_basis(graphs[0], d)
-    bases = [first] + [_top_basis(a, d, start=start)[0] for a in graphs[1:]]
+    graphs = iter(collection.graphs)
+    first, start = _top_basis(next(graphs), d)
+    bases = [first] + [_top_basis(a, d, start=start)[0] for a in graphs]
     basis = joint_subspace(bases, d)
     return project_scores(collection.graphs, basis, rho), rho
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmanifold import (
     CosieParameters,
@@ -16,6 +18,8 @@ from netmanifold import (
 from netmanifold.graphs import (
     CURVE_A_DIAG_SCALE,
     CURVE_A_OFFDIAG_SCALE,
+    VARIANTS,
+    GraphStore,
     membership_onehot,
 )
 
@@ -185,6 +189,101 @@ def test_graph_collection_validation():
     assert coll.n_graphs == 2
     assert coll.n_labeled == 1
     assert GraphCollection(graphs=(a,)).n_labeled == 0
+
+
+def _reference_sample_adjacency(p, seed):
+    """sample_adjacency before the packed store, kept as the oracle.
+
+    The body is verbatim except that the seed goes to Philox unchecked.
+    """
+    p = np.asarray(p, dtype=float)
+    n = p.shape[0]
+    if p.shape != (n, n):
+        raise ValidationError("probability matrix must be square")
+    if p.min() < 0.0 or p.max() > 1.0:
+        raise ValidationError("edge probabilities must lie in [0, 1]")
+    rng = np.random.Generator(np.random.Philox(seed))
+    iu = np.triu_indices(n, k=1)
+    draws = (rng.random(iu[0].size) < p[iu]).astype(float)
+    a = np.zeros((n, n))
+    a[iu] = draws
+    a += a.T
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    n=st.integers(min_value=1, max_value=41),
+    variant=st.sampled_from(VARIANTS),
+    ts=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
+)
+def test_sampler_matches_reference(seed, n, variant, ts):
+    """Both samplers give exactly the graphs of the triu-gather sampler.
+
+    sample_adjacency runs on odd and even n, on block-label P with a nonzero
+    diagonal and on an arbitrary asymmetric P; sample_collection on 2n nodes.
+    """
+    labels = np.arange(n) % 2
+    arbitrary = np.random.default_rng(seed % 2**32).random((n, n))
+    for t in ts:
+        p = probability_matrix(labels, build_block_probability(t, variant))
+        assert np.array_equal(
+            sample_adjacency(p, seed), _reference_sample_adjacency(p, seed)
+        )
+    assert np.array_equal(
+        sample_adjacency(arbitrary, seed), _reference_sample_adjacency(arbitrary, seed)
+    )
+    coll = sample_collection(ts, 2 * n, variant, seed)
+    assignment = balanced_membership(2 * n, 2)
+    for k, t in enumerate(ts):
+        p = probability_matrix(assignment, build_block_probability(t, variant))
+        graph = coll.graphs[k]
+        assert graph.dtype == np.float64
+        assert np.array_equal(graph, _reference_sample_adjacency(p, seed ^ k))
+
+
+def _two_edges(n=4):
+    a = np.zeros((n, n))
+    a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = 1.0
+    return a
+
+
+@pytest.mark.parametrize(
+    "graph, noiseless, message",
+    [
+        (np.triu(_two_edges()), False, "graph 1 is not symmetric"),
+        (3.5 * _two_edges(), False, "graph 1 has an entry other than 0 and 1"),
+        (np.full((4, 4), np.nan), False, "graph 1 has an entry other than 0 and 1"),
+        (_two_edges() + np.eye(4), False, "graph 1 has a self-loop"),
+        (np.full((4, 4), np.nan), True, r"graph 1 has an entry outside \[0, 1\]"),
+        (np.full((4, 4), 1.5), True, r"graph 1 has an entry outside \[0, 1\]"),
+        (0.5 * np.triu(_two_edges()), True, "graph 1 is not symmetric"),
+        (np.zeros((4, 3)), False, "square"),
+    ],
+    ids=[
+        "upper-triangular", "scaled", "binary-nan", "self-loop",
+        "noiseless-nan", "noiseless-above-one", "noiseless-asymmetric", "not-square",
+    ],
+)
+def test_graph_collection_rejects_malformed_graphs(graph, noiseless, message):
+    """Graph 1 breaks one rule; the collection refuses it at construction."""
+    with pytest.raises(ValidationError, match=message):
+        GraphCollection(graphs=(_two_edges(), graph), noiseless=noiseless)
+
+
+def test_binary_graphs_are_stored_packed():
+    a = _two_edges(10)
+    coll = GraphCollection(graphs=(a, np.zeros((10, 10))))
+    assert isinstance(coll.graphs, GraphStore) and coll.graphs.binary
+    assert [g.tobytes() for g in coll.graphs] == [a.tobytes(), np.zeros((10, 10)).tobytes()]
+    assert coll.graphs.edge_count() == 2
+    assert coll.graphs[-1].shape == (10, 10)
+    noiseless = noiseless_collection([0.5], 6, "curve-A")
+    with pytest.raises(ValidationError, match="binary"):
+        noiseless.graphs.edge_count()
+    with pytest.raises(ValidationError, match="noiseless"):
+        GraphCollection(graphs=coll.graphs, noiseless=True)
 
 
 def test_sample_collection_per_graph_seeding():

@@ -407,3 +407,20 @@ def test_embeddings_csv_round_trip(tmp_path):
     embedding, responses = load_embeddings_csv(path)
     assert embedding == [0.5, -0.25, 1.0]
     assert responses == [7.0, 8.0, None]
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (b"\n1,-0.25,", b"\n1,x,", "line 3, column z_hat: "),
+        (b",8.0\n", b",y\n", "line 3, column response: "),
+    ],
+    ids=["bad-z-hat", "bad-response"],
+)
+def test_load_embeddings_csv_rejects_bad_cells(tmp_path, old, new, message):
+    path = tmp_path / "emb.csv"
+    write_embeddings_csv(path, np.array([0.5, -0.25, 1.0]), [7.0, 8.0])
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    with pytest.raises(ValidationError, match=message) as excinfo:
+        load_embeddings_csv(path)
+    assert str(path) in str(excinfo.value)

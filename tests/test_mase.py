@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,13 +59,21 @@ def test_estimate_sparsity_hand_count():
 def test_estimate_sparsity_matches_upper_triangle_gather(n, n_graphs, density, seed):
     """Bitwise equal to the fancy-indexed strict upper triangle sum.
 
-    The 0/1 matrices are not symmetric, so a read below the diagonal shows.
+    The inputs are symmetric hollow 0/1 matrices; an asymmetric one is
+    rejected when the collection is built.
     """
     rng = np.random.default_rng(seed)
-    graphs = tuple((rng.random((n, n)) < density).astype(float) for _ in range(n_graphs))
+    graphs = []
+    for _ in range(n_graphs):
+        upper = np.triu((rng.random((n, n)) < density).astype(float), k=1)
+        graphs.append(upper + upper.T)
     iu = np.triu_indices(n, k=1)
     expected = sum(float(a[iu].sum()) for a in graphs) / (n_graphs * iu[0].size)
-    assert estimate_sparsity(GraphCollection(graphs=graphs)) == expected
+    assert estimate_sparsity(GraphCollection(graphs=tuple(graphs))) == expected
+    asymmetric = np.zeros((n, n))
+    asymmetric[0, 1] = 1.0
+    with pytest.raises(ValidationError, match="not symmetric"):
+        GraphCollection(graphs=(asymmetric,))
 
 
 def test_estimate_sparsity_concentrates_on_constant_model():
@@ -76,6 +86,24 @@ def test_estimate_sparsity_concentrates_on_constant_model():
     est = estimate_sparsity(GraphCollection(graphs=graphs))
     m = n_graphs * n * (n - 1) / 2
     assert abs(est - rho) < 3.0 * np.sqrt(rho * (1 - rho) / m)
+
+
+def test_sampling_and_mase_hold_one_float_graph_at_a_time():
+    """Traced peak of sampling plus MASE stays under 3 float64 n x n graphs.
+
+    n = 600 is above DENSE_MAX_N, the route the paper-scale runs take. A
+    collection held as float64 graphs would need N = 10 of them.
+    """
+    n = 600
+    tracemalloc.start()
+    try:
+        coll = sample_collection(np.linspace(0.4, 1.0, 10), n, "curve-A", 11)
+        scores, _ = sparse_mase(coll, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scores) == 10
+    assert peak < 3 * n * n * 8
 
 
 def test_sparse_mase_rejects_all_empty():
