@@ -1,9 +1,11 @@
-"""Hold numpy's OpenBLAS at one thread where thread count changes results.
+"""Hold every loaded OpenBLAS at one thread where thread count changes results.
 
 Dense LAPACK eigensolvers are not bit-stable across BLAS thread counts, and
-replicate worker threads multiply with BLAS threads. The helpers reach the
-OpenBLAS that numpy has already loaded through ctypes: they load no library,
-and where no OpenBLAS is mapped they do nothing.
+replicate worker threads multiply with BLAS threads. numpy and scipy each
+bundle their own OpenBLAS (numpy's exports ``scipy_openblas_*64_``, scipy's
+``scipy_openblas_*``), and a pin must hold both. The helpers reach the copies
+already mapped into the process through ctypes: they load no library, and
+where no OpenBLAS is mapped they do nothing.
 """
 
 import contextlib
@@ -12,10 +14,14 @@ import functools
 import os
 import threading
 
+# Thread-count entry points, "{}" standing for get or set, of numpy's and of
+# scipy's OpenBLAS.
+_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads")
+
 
 @functools.cache
 def _openblas():
-    """(get, set) thread-count functions of the mapped numpy OpenBLAS, or None."""
+    """(get, set) thread-count functions of every mapped OpenBLAS, in path order."""
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
             paths = {
@@ -24,57 +30,60 @@ def _openblas():
                 if "openblas" in line
             }
     except OSError:
-        return None
+        return ()
+    libs = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
+        except OSError:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
+        for symbol in _SYMBOLS:
+            get = getattr(lib, symbol.format("get"), None)
+            put = getattr(lib, symbol.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                libs.append((get, put))
+                break
+    return tuple(libs)
 
 
 def thread_count():
-    """numpy's current OpenBLAS thread count, or None when none is loaded."""
-    lib = _openblas()
-    return None if lib is None else lib[0]()
+    """The largest thread count among the mapped OpenBLAS copies, or None."""
+    libs = _openblas()
+    return max(get() for get, _ in libs) if libs else None
 
 
-# The OpenBLAS thread count is process-wide, so the pins on it are counted
+# OpenBLAS thread counts are process-wide, so the pins on them are counted
 # process-wide too: one thread's exit must not unpin another thread's eigh.
 _lock = threading.Lock()
 _pins = 0
-_saved = None
+_saved = ()
 
 
 @contextlib.contextmanager
 def single_thread():
-    """Hold numpy's OpenBLAS at one thread while any thread is inside a pin.
+    """Hold every mapped OpenBLAS at one thread while any thread is inside a pin.
 
-    The first entry saves the count and sets 1; the last exit, exceptions
-    included, restores it, so pins nest and overlap across threads. A no-op
-    without OpenBLAS.
+    The first entry saves each library's count and sets 1; the last exit,
+    exceptions included, restores them, so pins nest and overlap across
+    threads. A no-op without OpenBLAS.
     """
     global _pins, _saved
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    get, put = lib
+    libs = _openblas()
     with _lock:
         if _pins == 0:
-            _saved = get()
-            if _saved != 1:
-                put(1)
+            _saved = tuple(get() for get, _ in libs)
+            for (_, put), count in zip(libs, _saved):
+                if count != 1:
+                    put(1)
         _pins += 1
     try:
         yield
     finally:
         with _lock:
             _pins -= 1
-            if _pins == 0 and _saved != 1:
-                put(_saved)
+            if _pins == 0:
+                for (_, put), count in zip(libs, _saved):
+                    if count != 1:
+                        put(count)

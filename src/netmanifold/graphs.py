@@ -230,6 +230,21 @@ class GraphStore(Sequence):
             return item
         return np.unpackbits(item, axis=1, count=self.node_count).astype(float)
 
+    def buffered(self):
+        """Iterate over the graphs as float64 (n, n) arrays in one reused buffer.
+
+        Each binary graph is unpacked over the previous one, so a reader must
+        be done with an item before it takes the next. Indexing the store
+        still returns a fresh array. Real-valued graphs come as stored.
+        """
+        if not self.binary:
+            yield from self._items
+            return
+        buffer = np.empty((self.node_count, self.node_count))
+        for rows in self._items:
+            np.copyto(buffer, np.unpackbits(rows, axis=1, count=self.node_count))
+            yield buffer
+
     def edge_count(self):
         """Undirected edges over all graphs, an exact integer popcount.
 

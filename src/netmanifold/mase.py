@@ -11,9 +11,11 @@ distances), and outputs are made reproducible by a sign convention on
 singular vectors.
 """
 
+import math
 import warnings
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import blas
 from .errors import SparsityError, ValidationError
@@ -29,9 +31,17 @@ _TIE_RTOL = 1e-10
 
 # Block iteration stops once the top-d Ritz residual is below this fraction of
 # the estimated d/(d+1) eigen-gap (a Davis-Kahan bound on the subspace angle),
-# and hands over to dense eigh after _MAX_ITER blocks.
+# and hands over to the partial tridiagonal solve after _MAX_ITER blocks, or
+# earlier once it has stalled: from step _STALL_FROM on, when the fastest
+# per-step contraction of the residual over the last _STALL_WINDOW steps,
+# kept up to step _MAX_ITER, would still leave the residual above
+# _STALL_MARGIN times its target. The first steps after a start contract
+# unevenly, hence the delay; the margin covers later speed-ups.
 _RESIDUAL_TOL = 1e-10
 _MAX_ITER = 40
+_STALL_FROM = 6
+_STALL_WINDOW = 3
+_STALL_MARGIN = 10.0
 
 
 def canonical_signs(basis):
@@ -74,6 +84,69 @@ def _dense_eigenpairs(a, k):
     return np.abs(eigvals)[order], eigvecs[:, order[:k]]
 
 
+def _partial_eigenpairs(a, k):
+    """The k+1 largest |eigenvalues| in descending order and the top-k eigenvectors.
+
+    One tridiagonalization (dsytrd, blocked through its workspace query),
+    bisection (dstebz) for the k+1 smallest and k+1 largest signed
+    eigenvalues, among which the k+1 largest moduli lie, inverse iteration
+    (dstein) for the top-k vectors of the tridiagonal matrix, and the
+    reflectors applied back (dormqr). Ties in modulus go to the negative
+    eigenvalue, as in _dense_eigenpairs. Runs on one BLAS thread like it.
+    Should dstebz or dstein report a failure, the dense solve answers.
+    """
+    n = a.shape[0]
+    m = min(k + 1, n)
+    bounds = [(1, n)] if 2 * m >= n else [(1, m), (n - m + 1, n)]
+    # bisection to full accuracy, the tolerance LAPACK advises ahead of dstein
+    tol = 2 * np.finfo(float).tiny
+    with blas.single_thread():
+        lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+        reflectors, diag, off, tau, _ = lapack.dsytrd(a, lower=1, lwork=lwork)
+        found = [
+            lapack.dstebz(diag, off, 2, 0.0, 0.0, lo, hi, tol, b"B") for lo, hi in bounds
+        ]
+        if any(f[-1] for f in found):
+            return _dense_eigenpairs(a, k)
+        isplit = found[0][3]
+        eigvals = np.concatenate([f[1][: f[0]] for f in found])
+        blocks = np.concatenate([f[2][: f[0]] for f in found])
+        ascending = np.argsort(eigvals, kind="stable")
+        eigvals, blocks = eigvals[ascending], blocks[ascending]
+        order = np.argsort(-np.abs(eigvals), kind="stable")[:m]
+        # dstein takes its eigenvalues grouped by split-off block, ascending
+        # within each block
+        top = order[:k]
+        grouping = np.lexsort((eigvals[top], blocks[top]))
+        block_of = np.zeros(n, dtype=blocks.dtype)
+        block_of[:k] = blocks[top[grouping]]
+        vectors, info = lapack.dstein(
+            diag, off, eigvals[top[grouping]], block_of, isplit
+        )
+        if info:
+            return _dense_eigenpairs(a, k)
+        vectors[1:], _, _ = lapack.dormqr(
+            b"L", b"N", reflectors[1:, :-1], tau, vectors[1:], 64 * k
+        )
+    return np.abs(eigvals[order]), vectors[:, np.argsort(grouping)]
+
+
+def _stalled(norms, target):
+    """True when the residual norms so far show it cannot reach target in time.
+
+    norms holds one residual norm per step, the last one above target.
+    """
+    step = len(norms)
+    if step < _STALL_FROM:
+        return False
+    recent = norms[-_STALL_WINDOW - 1 :]
+    rate = min(later / earlier for earlier, later in zip(recent, recent[1:]))
+    if rate >= 1.0:
+        return True
+    final = math.log(norms[-1]) + (_MAX_ITER - step) * math.log(rate)
+    return final >= math.log(_STALL_MARGIN * target)
+
+
 def _subspace_iteration(a, d, start):
     """Top-d eigenvectors of A by modulus via block iteration on A @ A.
 
@@ -83,13 +156,18 @@ def _subspace_iteration(a, d, start):
     stops once their residual ||A U - U Θ||_F falls below _RESIDUAL_TOL times
     the Ritz gap |θ_d| - |θ_{d+1}|, which bounds the distance to the true
     top-d projector. A tied or slowly separating boundary never passes the
-    test and falls back to dense eigh after _MAX_ITER steps.
+    test. It hands over to _partial_eigenpairs after _MAX_ITER steps, at
+    once when the Ritz gap is not positive, and as soon as the residual's
+    observed contraction shows that step _MAX_ITER would not pass (_stalled).
 
     Returns (singular values in descending order, (n, d) basis, final block):
-    the block is the last orthonormal (n, k) iterate, or the dense top-k
-    eigenvectors after a fallback, where k is the column count of start.
+    the block is the last orthonormal (n, k) iterate, or the top-k
+    eigenvectors of the partial solve after a hand-over, where k is the
+    column count of start. The hand-over returns the k+1 largest singular
+    values only.
     """
     q, _ = np.linalg.qr(start)
+    norms = []
     for _ in range(_MAX_ITER):
         y = a @ q
         ritz = q.T @ y
@@ -98,10 +176,13 @@ def _subspace_iteration(a, d, start):
         svals, s = np.abs(theta)[order], s[:, order[:d]]
         residual = y @ s - (q @ s) * theta[order[:d]]
         gap = svals[d - 1] - (svals[d] if svals.size > d else 0.0)
-        if np.linalg.norm(residual) < _RESIDUAL_TOL * gap:
+        norms.append(np.linalg.norm(residual))
+        if norms[-1] < _RESIDUAL_TOL * gap:
             return svals, q @ s, q
+        if gap <= 0.0 or _stalled(norms, _RESIDUAL_TOL * gap):
+            break
         q, _ = np.linalg.qr(a @ y)
-    svals, block = _dense_eigenpairs(a, q.shape[1])
+    svals, block = _partial_eigenpairs(a, q.shape[1])
     return svals, block[:, :d], block
 
 
@@ -144,10 +225,11 @@ def top_left_singular_vectors(a, d):
     (n, d) ndarray with orthonormal, sign-canonicalized columns.
 
     Up to DENSE_MAX_N nodes this is a full dense eigendecomposition. Above it
-    block iteration on A @ A runs with d+2 columns from a fixed Philox start,
-    stops on the top-d projector alone, and falls back to dense eigh when its
-    iteration cap is reached. Warns when the singular values at the d/(d+1)
-    boundary are tied, in which case the subspace is ill-defined.
+    block iteration on A @ A runs with d+2 columns from a fixed Philox start
+    and stops on the top-d projector alone. When it stalls or reaches its
+    iteration cap, one tridiagonalization gives the top d+2 eigenpairs
+    instead. Warns when the singular values at the d/(d+1) boundary are
+    tied, in which case the subspace is ill-defined.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -203,8 +285,8 @@ def sparse_mase(collection, d, sparsity=None):
 
     Every graph is projected onto the joint subspace estimated from all
     per-graph bases. Two passes stream over the collection's store, each
-    holding one float64 graph at a time: the first computes the per-graph
-    bases, the second (project_scores) the scores.
+    unpacking one graph at a time into one reused float64 buffer: the first
+    computes the per-graph bases, the second (project_scores) the scores.
 
     Parameters
     ----------
@@ -224,9 +306,9 @@ def sparse_mase(collection, d, sparsity=None):
     Per-graph bases come from dense eigh up to DENSE_MAX_N nodes. Above it
     graph 0 runs the block iteration from the fixed Philox start (see
     top_left_singular_vectors), and its final (n, d+2) block starts the
-    iteration of every other graph; a graph whose iteration reaches the cap
-    falls back to dense eigh, and for graph 0 the dense top-(d+2)
-    eigenvectors become the start.
+    iteration of every other graph; a graph whose iteration stalls or
+    reaches the cap takes the partial tridiagonal solve instead, and for
+    graph 0 that solve's top-(d+2) eigenvectors become the start.
     """
     n = collection.node_count
     if d > n:
@@ -246,11 +328,11 @@ def sparse_mase(collection, d, sparsity=None):
     # COSIE graphs share one invariant subspace, so graph 0's final block
     # warm-starts every other graph's block iteration. The start depends on
     # the collection alone, not on scheduling.
-    graphs = iter(collection.graphs)
+    graphs = collection.graphs.buffered()
     first, start = _top_basis(next(graphs), d)
     bases = [first] + [_top_basis(a, d, start=start)[0] for a in graphs]
     basis = joint_subspace(bases, d)
-    return project_scores(collection.graphs, basis, rho), rho
+    return project_scores(collection.graphs.buffered(), basis, rho), rho
 
 
 def scaled_score_points(scores, n):

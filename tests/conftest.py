@@ -72,12 +72,17 @@ def weighted_dataset(tmp_path_factory):
 
 @pytest.fixture
 def two_blas_threads():
-    """Hold numpy's OpenBLAS at two threads, so serial runs are not pinned already."""
-    lib = blas._openblas()
-    if lib is None:
+    """Hold every mapped OpenBLAS at two threads, so serial runs are not pinned already.
+
+    numpy and scipy each map their own copy; the fixture yields the (get, set)
+    pairs of all of them.
+    """
+    libs = blas._openblas()
+    if not libs:
         pytest.skip("no OpenBLAS found in the process")
-    get, put = lib
-    previous = get()
-    put(2)
-    yield
-    put(previous)
+    previous = [get() for get, _ in libs]
+    for _, put in libs:
+        put(2)
+    yield libs
+    for (_, put), count in zip(libs, previous):
+        put(count)

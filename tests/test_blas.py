@@ -3,6 +3,8 @@ import sys
 import threading
 import time
 
+import pytest
+
 from netmanifold import blas
 
 
@@ -44,3 +46,19 @@ def test_overlapping_pins_hold_one_thread_until_the_last_exit(two_blas_threads):
     assert len(reads) >= 8 * 300 * 2
     assert set(reads) == {1}
     assert blas.thread_count() == 2
+
+
+@pytest.mark.parametrize("low", [0, -1], ids=["first-at-1", "last-at-1"])
+def test_pin_holds_and_restores_every_openblas(two_blas_threads, low):
+    """numpy's and scipy's OpenBLAS both read 1 inside a pin; the last exit
+    gives each its own saved count back."""
+    saved = [2] * len(two_blas_threads)
+    saved[low] = 1
+    two_blas_threads[low][1](1)
+    counts = lambda: [get() for get, _ in two_blas_threads]
+    assert counts() == saved
+    with blas.single_thread():
+        with blas.single_thread():
+            assert counts() == [1] * len(saved)
+        assert counts() == [1] * len(saved)
+    assert counts() == saved

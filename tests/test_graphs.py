@@ -279,7 +279,12 @@ def test_binary_graphs_are_stored_packed():
     assert [g.tobytes() for g in coll.graphs] == [a.tobytes(), np.zeros((10, 10)).tobytes()]
     assert coll.graphs.edge_count() == 2
     assert coll.graphs[-1].shape == (10, 10)
+    # buffered() unpacks every graph into one float64 buffer
+    seen = [(id(g), g.dtype, g.tobytes()) for g in coll.graphs.buffered()]
+    assert [b for _, _, b in seen] == [g.tobytes() for g in coll.graphs]
+    assert len({i for i, _, _ in seen}) == 1 and seen[0][1] == np.float64
     noiseless = noiseless_collection([0.5], 6, "curve-A")
+    assert all(g is h for g, h in zip(noiseless.graphs.buffered(), noiseless.graphs))
     with pytest.raises(ValidationError, match="binary"):
         noiseless.graphs.edge_count()
     with pytest.raises(ValidationError, match="noiseless"):

@@ -150,13 +150,78 @@ def test_iterative_matches_dense(monkeypatch):
     noise = rng.standard_normal((n, n)) / n
     a = (q * [12.0, -9.0, 6.0]) @ q.T + (noise + noise.T) / 2.0
     _, dense = mase._dense_eigenpairs(a, 3)
-    dense_calls = []
+    fallbacks = []
     monkeypatch.setattr(
-        mase, "_dense_eigenpairs", lambda *args: dense_calls.append(args)
+        mase, "_partial_eigenpairs", lambda *args: fallbacks.append(args)
     )
     iterative = top_left_singular_vectors(a, 3)
-    assert not dense_calls  # the block iteration converged on its own
+    assert not fallbacks  # the block iteration converged on its own
     assert np.abs(_projector(dense) - _projector(iterative)).max() <= 1e-8
+
+
+def _bipartite(n, seed):
+    """A random bipartite graph: its spectrum is symmetric, so the negative
+    end ties the positive one and leads in modulus order."""
+    rng = np.random.default_rng(seed)
+    half = (rng.random((n // 2, n // 2)) < 0.2).astype(float)
+    zero = np.zeros_like(half)
+    return np.block([[zero, half], [half.T, zero]])
+
+
+def _disconnected(n, seed):
+    """Three random graphs side by side: the tridiagonal form splits."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for j, lo in enumerate(range(0, n, n // 3)):
+        upper = np.triu(rng.random((n // 3, n // 3)) < 0.1 * (j + 1), k=1)
+        a[lo : lo + n // 3, lo : lo + n // 3] = upper + upper.T
+    return a
+
+
+def _small(n, seed):
+    """n <= 2(k+1) with k=4: the bottom and top index ranges overlap."""
+    x = np.random.default_rng(seed).standard_normal((n, n))
+    return x + x.T
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        _bipartite(300, 1),
+        _disconnected(300, 2),
+        _small(10, 3),
+        _small(4, 4),
+        sample_collection([0.25], 300, "curve-A", 5).graphs[0],
+    ],
+    ids=["bipartite", "disconnected", "overlap-n10", "overlap-n4", "curve-A-n300"],
+)
+def test_partial_solve_agrees_with_eigh(a):
+    """Agreement bound of the partial tridiagonal solve against np.linalg.eigh.
+
+    The k+1 largest moduli match to 1e-12 relative to |lambda_1|, the top-2
+    projector to 1e-8 (max entry), and the top-k block is orthonormal.
+    """
+    k = 4
+    eigvals, eigvecs = np.linalg.eigh(a)
+    order = np.argsort(-np.abs(eigvals), kind="stable")
+    moduli, block = mase._partial_eigenpairs(a, k)
+    assert moduli.shape == (min(k + 1, len(a)),)
+    scale = np.abs(eigvals).max()
+    assert np.abs(moduli - np.abs(eigvals[order[: k + 1]])).max() <= 1e-12 * scale
+    dense = eigvecs[:, order[:2]]
+    assert np.abs(_projector(block[:, :2]) - _projector(dense)).max() <= 1e-8
+    assert np.abs(block.T @ block - np.eye(k)).max() < 1e-12
+    # the leading column is the leading eigenvector, negative on a tie
+    assert abs(block[:, 0] @ dense[:, 0]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_partial_solve_hands_over_when_lapack_fails(monkeypatch):
+    a = _bipartite(40, 6)
+    monkeypatch.setattr(mase.lapack, "dstein", lambda *args: (None, 1))
+    moduli, block = mase._partial_eigenpairs(a, 4)
+    dense_moduli, dense_block = mase._dense_eigenpairs(a, 4)
+    assert np.array_equal(moduli, dense_moduli)
+    assert np.array_equal(block, dense_block)
 
 
 def test_iterative_route_warns_on_tied_boundary():
@@ -172,22 +237,34 @@ def test_iterative_route_warns_on_tied_boundary():
 
 
 def _record_solves(monkeypatch):
-    """Record every per-graph basis sparse_mase solves and every dense eigh call."""
-    bases, dense_calls = [], []
-    top_basis, dense_eigenpairs = mase._top_basis, mase._dense_eigenpairs
+    """Record every per-graph basis sparse_mase solves, every fallback to the
+    partial solve, and the step of every early exit from the iteration."""
+    bases, fallbacks, exits = [], [], []
+    top_basis, partial, stalled = (
+        mase._top_basis,
+        mase._partial_eigenpairs,
+        mase._stalled,
+    )
 
     def recording_top_basis(*args, **kwargs):
         basis, block = top_basis(*args, **kwargs)
         bases.append(basis)
         return basis, block
 
-    def counting_dense_eigenpairs(a, k):
-        dense_calls.append(k)
-        return dense_eigenpairs(a, k)
+    def counting_partial(a, k):
+        fallbacks.append(k)
+        return partial(a, k)
+
+    def recording_stalled(norms, target):
+        if stalled(norms, target):
+            exits.append(len(norms))
+            return True
+        return False
 
     monkeypatch.setattr(mase, "_top_basis", recording_top_basis)
-    monkeypatch.setattr(mase, "_dense_eigenpairs", counting_dense_eigenpairs)
-    return bases, dense_calls
+    monkeypatch.setattr(mase, "_partial_eigenpairs", counting_partial)
+    monkeypatch.setattr(mase, "_stalled", recording_stalled)
+    return bases, fallbacks, exits
 
 
 @pytest.mark.parametrize(
@@ -197,7 +274,7 @@ def _record_solves(monkeypatch):
         (np.random.default_rng(1000).uniform(0.25, 1.0, 30), 800, 1000, None),
         (np.random.default_rng(1001).uniform(0.25, 1.0, 30), 800, 1001, None),
         # lambda_2 ~ 5 sits inside the noise-bulk edge ~ 9: the block iteration
-        # cannot separate it and must hand over to dense eigh
+        # cannot separate it, sees so early, and hands over to the partial solve
         (np.full(10, 0.25), 200, 77, 100),
     ],
     ids=["c2-seed1000", "c2-seed1001", "bulk-edge-n200"],
@@ -211,12 +288,14 @@ def test_warm_route_agrees_with_dense_eigh(monkeypatch, ts, n, seed, crossover):
     coll = sample_collection(ts, n, "curve-A", seed)
     if crossover is not None:
         monkeypatch.setattr(mase, "DENSE_MAX_N", crossover)
-    bases, dense_calls = _record_solves(monkeypatch)
+    bases, fallbacks, exits = _record_solves(monkeypatch)
     scores, _ = sparse_mase(coll, 2, sparsity=1.0)
     warm = list(bases)
-    fallbacks = len(dense_calls)  # every dense eigh call is a fallback
     if crossover is not None:
-        assert fallbacks >= 1
+        assert len(fallbacks) >= 1
+        # every fallback left the iteration before its step cap
+        assert len(exits) == len(fallbacks)
+        assert max(exits) < mase._MAX_ITER
     monkeypatch.setattr(mase, "DENSE_MAX_N", n)
     bases.clear()
     dense_scores, _ = sparse_mase(coll, 2, sparsity=1.0)

@@ -263,6 +263,30 @@ def test_experiment_thread_determinism_on_dense_route(two_blas_threads):
     assert serial.records == pooled.records
 
 
+def test_experiment_thread_determinism_on_fallback_route(monkeypatch, two_blas_threads):
+    """n=300 curve-A graphs near the noise bulk stall in the block iteration
+    and take the partial tridiagonal solve, whose scipy LAPACK calls differ
+    between one and two threads of scipy's own OpenBLAS. With both OpenBLAS
+    copies at two threads, serial and pooled runs match a run with both at
+    one thread."""
+    config = _tiny_consistency(k_values=(1,), nodes_base=300)
+    fallbacks, partial = [], mase._partial_eigenpairs
+
+    def counting_partial(a, k):
+        fallbacks.append(k)
+        return partial(a, k)
+
+    monkeypatch.setattr(mase, "_partial_eigenpairs", counting_partial)
+    serial = run_consistency_experiment(config, threads=1)
+    assert fallbacks
+    pooled = run_consistency_experiment(config, threads=2)
+    for _, put in two_blas_threads:
+        put(1)
+    one_thread = run_consistency_experiment(config, threads=1)
+    assert all(r.valid for r in serial.records)
+    assert serial.records == pooled.records == one_thread.records
+
+
 def test_replicate_pool_pins_blas_and_restores(monkeypatch, caplog, two_blas_threads):
     config = _tiny_consistency(k_values=(1,))
     seen, sample = [], pipeline.sample_collection
