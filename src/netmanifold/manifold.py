@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from . import blas
+from .eigen import square_matrix, top_eigenpairs
 from .errors import ConnectivityError, ValidationError
 
 # SMACOF stops at this relative stress decrease, or after this many steps.
@@ -119,22 +119,20 @@ def raw_stress(z, delta):
 def cmds_embed(delta):
     """Classical-scaling initializer: top eigenpair of the centered Gram.
 
-    Doubly centers -1/2 * (delta o delta) and scales the top eigenvector by
-    the square root of its eigenvalue. For any nonzero hollow dissimilarity
-    matrix the top eigenvalue is strictly positive (the centered Gram has
-    positive trace), so the degenerate all-zeros branch fires only at
-    delta = 0, with a warning.
+    Doubly centers -1/2 * (delta o delta) and scales its top signed
+    eigenvector (eigen.top_eigenpairs) by the square root of its eigenvalue.
+    That eigenvalue is positive for any nonzero hollow delta (the centered
+    Gram has positive trace); at delta = 0 the embedding is all zeros, with a
+    warning. Raises ValidationError unless delta is a finite square matrix.
     """
-    delta = np.asarray(delta, dtype=float)
+    delta = square_matrix(delta)
     l = delta.shape[0]
     if l == 1:
         return np.zeros(1)
     centering = np.eye(l) - np.ones((l, l)) / l
     gram = -0.5 * centering @ (delta * delta) @ centering
-    with blas.single_thread():  # eigh is not bit-stable across thread counts
-        eigvals, eigvecs = np.linalg.eigh(gram)
-    top = eigvals[-1]
-    if top <= 0.0:
+    values, vectors, _ = top_eigenpairs(gram, 1, signed=True)
+    if values[0] <= 0.0:
         warnings.warn(
             "centered Gram matrix has no positive eigenvalue; "
             "returning the all-zero embedding",
@@ -142,11 +140,7 @@ def cmds_embed(delta):
             stacklevel=2,
         )
         return np.zeros(l)
-    vec = eigvecs[:, -1]
-    anchor = int(np.argmax(np.abs(vec)))
-    if vec[anchor] < 0:
-        vec = -vec
-    z = np.sqrt(top) * vec
+    z = np.sqrt(values[0]) * vectors[:, 0]
     return z - z.mean()
 
 

@@ -1,0 +1,129 @@
+"""The eigensolver module: signed order, ties, input checks, and its monopoly
+on dense factorizations."""
+
+import pathlib
+import re
+
+import numpy as np
+import pytest
+from scipy.linalg import block_diag, lapack
+
+from netmanifold import (
+    ValidationError,
+    cmds_embed,
+    localization_graph,
+    shortest_path_matrix,
+    smacof_minimize,
+)
+from netmanifold import eigen
+from netmanifold.mase import top_left_singular_vectors
+
+
+def _centered_gram(l, top, seed):
+    """A centered Gram whose spectrum leads with about -12 and then `top`: the
+    most negative eigenvalue outweighs the top positive ones."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((l, l)))
+    spectrum = np.concatenate([[-12.0], top, rng.uniform(-1.0, 1.0, l - 1 - len(top))])
+    centering = np.eye(l) - 1.0 / l
+    gram = centering @ ((q * spectrum) @ q.T) @ centering
+    return (gram + gram.T) / 2.0
+
+
+def _split_gram():
+    """Two centered Grams side by side: the tridiagonal form splits, and the top
+    two signed eigenpairs come from different blocks."""
+    a = block_diag(_centered_gram(120, [8.0, 3.0], 3), _centered_gram(130, [6.0], 4))
+    assert (lapack.dsytrd(a, lower=1)[2] == 0.0).any()
+    return a
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        _centered_gram(150, [8.0, 5.0], 1),
+        _centered_gram(250, [8.0, 5.0], 2),
+        _split_gram(),
+    ],
+    ids=["dense-l150", "partial-l250", "split-l250"],
+)
+def test_signed_order_agrees_with_eigh(a):
+    """Signed top-k against np.linalg.eigh: the k+1 largest eigenvalues to 1e-12
+    relative to |lambda|max, the sign-canonical top-k vectors to 1e-8."""
+    k = 2
+    eigvals, eigvecs = np.linalg.eigh(a)
+    assert -eigvals[0] > eigvals[-1] > 0.0
+    values, vectors, block = eigen.top_eigenpairs(a, k, signed=True)
+    assert block is None
+    scale = np.abs(eigvals).max()
+    assert np.abs(values[: k + 1] - eigvals[::-1][: k + 1]).max() <= 1e-12 * scale
+    expected = eigen.canonical_signs(eigvecs[:, ::-1][:, :k])
+    assert np.abs(vectors - expected).max() <= 1e-8
+
+
+def test_exact_top_ties_keep_the_eigh_pick():
+    """A signed tie goes to the last column eigh returns, a modulus tie to the
+    negative eigenvalue, as before both orders shared one solver."""
+    a = np.diag([3.0, 1.0, 3.0, -3.0])
+    _, eigvecs = np.linalg.eigh(a)
+    last, other = eigen.canonical_signs(eigvecs[:, -1:]), eigvecs[:, -2:-1]
+    assert not np.array_equal(last, eigen.canonical_signs(other))
+    _, signed, _ = eigen.top_eigenpairs(a, 1, signed=True)
+    assert np.array_equal(signed, last)
+    with pytest.warns(RuntimeWarning, match="tied"):
+        _, modulus, _ = eigen.top_eigenpairs(a, 1)
+    assert np.array_equal(modulus, eigen.canonical_signs(eigvecs[:, :1]))
+
+
+def test_cmds_above_dense_crossover_agrees_with_eigh():
+    """Agreement bound of classical scaling's partial signed solve (l=300 > 200)
+    against a full eigh: top eigenvalue to 1e-12 relative, the sign-fixed
+    vector to 1e-8, and the SMACOF embeddings to 1e-8 relative to max|z|."""
+    rng = np.random.default_rng(17)
+    t = np.sort(rng.uniform(0.0, 3.0, 300))
+    points = np.column_stack([np.cos(t), np.sin(t), 0.05 * rng.standard_normal(300)])
+    delta = shortest_path_matrix(localization_graph(points, 0.3), 300)
+    centering = np.eye(300) - np.ones((300, 300)) / 300
+    gram = -0.5 * centering @ (delta * delta) @ centering
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    reference = eigen.canonical_signs(eigvecs[:, -1:])[:, 0]
+    values, vectors, _ = eigen.top_eigenpairs(gram, 1, signed=True)
+    assert abs(values[0] - eigvals[-1]) <= 1e-12 * eigvals[-1]
+    assert np.abs(vectors[:, 0] - reference).max() <= 1e-8
+    z0 = np.sqrt(eigvals[-1]) * reference
+    z, _ = smacof_minimize(delta, cmds_embed(delta))
+    expected, _ = smacof_minimize(delta, z0 - z0.mean())
+    assert np.abs(z - expected).max() <= 1e-8 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize(
+    "solve, args",
+    [
+        (top_left_singular_vectors, (3.0, 1)),
+        (top_left_singular_vectors, (np.full((3, 3), np.nan), 1)),
+        (cmds_embed, (np.ones((2, 3)),)),
+        (cmds_embed, (np.array(1.0),)),
+        (cmds_embed, (np.zeros((0, 0)),)),
+        (cmds_embed, (np.full((3, 3), np.nan),)),
+    ],
+    ids=["svd-scalar", "svd-nan", "cmds-2x3", "cmds-0d", "cmds-empty", "cmds-nan"],
+)
+def test_eigen_entry_points_reject_bad_input(solve, args):
+    with pytest.raises(ValidationError):
+        solve(*args)
+
+
+_FACTORIZATIONS = re.compile(
+    r"linalg\.(eig\w*|svd)\b|\blapack\.|\bblas\.single_thread\b"
+)
+
+
+def test_dense_factorizations_live_in_the_eigen_module():
+    """Outside eigen.py no module calls an eigensolver, an SVD or LAPACK, or pins
+    BLAS, except the replicate pool's pin in pipeline.py."""
+    found = []
+    for path in sorted(pathlib.Path(eigen.__file__).parent.glob("*.py")):
+        if path.name != "eigen.py":
+            text = path.read_text(encoding="utf-8")
+            found += [(path.name, m.group(0)) for m in _FACTORIZATIONS.finditer(text)]
+    assert found == [("pipeline.py", "blas.single_thread")]

@@ -18,9 +18,9 @@ from netmanifold import (
     scaled_score_points,
     sparse_mase,
 )
-from netmanifold import mase
+from netmanifold import eigen
+from netmanifold.eigen import canonical_signs
 from netmanifold.mase import (
-    canonical_signs,
     estimate_sparsity,
     joint_subspace,
     project_scores,
@@ -144,15 +144,15 @@ def test_top_singular_vectors_warns_on_tied_boundary():
 
 def test_iterative_matches_dense(monkeypatch):
     """Above DENSE_MAX_N the cold Philox start agrees with dense eigh."""
-    n = mase.DENSE_MAX_N + 50
+    n = eigen.DENSE_MAX_N + 50
     rng = np.random.default_rng(11)
     q, _ = np.linalg.qr(rng.standard_normal((n, 3)))
     noise = rng.standard_normal((n, n)) / n
     a = (q * [12.0, -9.0, 6.0]) @ q.T + (noise + noise.T) / 2.0
-    _, dense = mase._dense_eigenpairs(a, 3)
+    _, dense = eigen._dense_eigenpairs(a, 3)
     fallbacks = []
     monkeypatch.setattr(
-        mase, "_partial_eigenpairs", lambda *args: fallbacks.append(args)
+        eigen, "_partial_eigenpairs", lambda *args: fallbacks.append(args)
     )
     iterative = top_left_singular_vectors(a, 3)
     assert not fallbacks  # the block iteration converged on its own
@@ -204,7 +204,7 @@ def test_partial_solve_agrees_with_eigh(a):
     k = 4
     eigvals, eigvecs = np.linalg.eigh(a)
     order = np.argsort(-np.abs(eigvals), kind="stable")
-    moduli, block = mase._partial_eigenpairs(a, k)
+    moduli, block = eigen._partial_eigenpairs(a, k)
     assert moduli.shape == (min(k + 1, len(a)),)
     scale = np.abs(eigvals).max()
     assert np.abs(moduli - np.abs(eigvals[order[: k + 1]])).max() <= 1e-12 * scale
@@ -217,9 +217,9 @@ def test_partial_solve_agrees_with_eigh(a):
 
 def test_partial_solve_hands_over_when_lapack_fails(monkeypatch):
     a = _bipartite(40, 6)
-    monkeypatch.setattr(mase.lapack, "dstein", lambda *args: (None, 1))
-    moduli, block = mase._partial_eigenpairs(a, 4)
-    dense_moduli, dense_block = mase._dense_eigenpairs(a, 4)
+    monkeypatch.setattr(eigen.lapack, "dstein", lambda *args: (None, 1))
+    moduli, block = eigen._partial_eigenpairs(a, 4)
+    dense_moduli, dense_block = eigen._dense_eigenpairs(a, 4)
     assert np.array_equal(moduli, dense_moduli)
     assert np.array_equal(block, dense_block)
 
@@ -227,7 +227,7 @@ def test_partial_solve_hands_over_when_lapack_fails(monkeypatch):
 def test_iterative_route_warns_on_tied_boundary():
     # eigenvalues 9, 4, -4, ...: a |.|-tie at the d=2 boundary above the
     # crossover, where "auto" runs the block iteration
-    n = mase.DENSE_MAX_N + 44
+    n = eigen.DENSE_MAX_N + 44
     q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((n, n)))
     eigvals = np.concatenate([[9.0, 4.0, -4.0], np.linspace(1.0, 0.1, n - 3)])
     a = (q * eigvals) @ q.T
@@ -240,16 +240,16 @@ def _record_solves(monkeypatch):
     """Record every per-graph basis sparse_mase solves, every fallback to the
     partial solve, and the step of every early exit from the iteration."""
     bases, fallbacks, exits = [], [], []
-    top_basis, partial, stalled = (
-        mase._top_basis,
-        mase._partial_eigenpairs,
-        mase._stalled,
+    top_eigenpairs, partial, stalled = (
+        eigen.top_eigenpairs,
+        eigen._partial_eigenpairs,
+        eigen._stalled,
     )
 
-    def recording_top_basis(*args, **kwargs):
-        basis, block = top_basis(*args, **kwargs)
+    def recording_top_eigenpairs(*args, **kwargs):
+        values, basis, block = top_eigenpairs(*args, **kwargs)
         bases.append(basis)
-        return basis, block
+        return values, basis, block
 
     def counting_partial(a, k):
         fallbacks.append(k)
@@ -261,9 +261,9 @@ def _record_solves(monkeypatch):
             return True
         return False
 
-    monkeypatch.setattr(mase, "_top_basis", recording_top_basis)
-    monkeypatch.setattr(mase, "_partial_eigenpairs", counting_partial)
-    monkeypatch.setattr(mase, "_stalled", recording_stalled)
+    monkeypatch.setattr(eigen, "top_eigenpairs", recording_top_eigenpairs)
+    monkeypatch.setattr(eigen, "_partial_eigenpairs", counting_partial)
+    monkeypatch.setattr(eigen, "_stalled", recording_stalled)
     return bases, fallbacks, exits
 
 
@@ -287,7 +287,7 @@ def test_warm_route_agrees_with_dense_eigh(monkeypatch, ts, n, seed, crossover):
     """
     coll = sample_collection(ts, n, "curve-A", seed)
     if crossover is not None:
-        monkeypatch.setattr(mase, "DENSE_MAX_N", crossover)
+        monkeypatch.setattr(eigen, "DENSE_MAX_N", crossover)
     bases, fallbacks, exits = _record_solves(monkeypatch)
     scores, _ = sparse_mase(coll, 2, sparsity=1.0)
     warm = list(bases)
@@ -295,8 +295,8 @@ def test_warm_route_agrees_with_dense_eigh(monkeypatch, ts, n, seed, crossover):
         assert len(fallbacks) >= 1
         # every fallback left the iteration before its step cap
         assert len(exits) == len(fallbacks)
-        assert max(exits) < mase._MAX_ITER
-    monkeypatch.setattr(mase, "DENSE_MAX_N", n)
+        assert max(exits) < eigen._MAX_ITER
+    monkeypatch.setattr(eigen, "DENSE_MAX_N", n)
     bases.clear()
     dense_scores, _ = sparse_mase(coll, 2, sparsity=1.0)
     assert len(warm) == len(bases) == coll.n_graphs
@@ -323,6 +323,18 @@ def test_joint_subspace_single_basis():
     basis = top_left_singular_vectors(np.diag([3.0, 2.0, 1.0]), 2)
     joint = joint_subspace([basis], 2)
     assert np.abs(_projector(joint) - _projector(basis)).max() < 1e-12
+
+
+def test_joint_subspace_is_bit_stable_across_blas_threads(two_blas_threads):
+    """At the K=12 shape, 26 bases of (2150, 2), the SVD's singular vectors
+    from the 13th on differ in their last bits between one and two BLAS
+    threads; the pin hides it. d=52 keeps every column."""
+    rng = np.random.default_rng(12)
+    bases = [rng.standard_normal((2150, 2)) for _ in range(26)]
+    two = joint_subspace(bases, 52)
+    for _, put in two_blas_threads:
+        put(1)
+    assert np.array_equal(joint_subspace(bases, 52), two)
 
 
 def test_joint_subspace_matches_svd_oracle():
@@ -374,6 +386,10 @@ def test_sparse_mase_argument_validation():
     coll = GraphCollection(graphs=(a,))
     with pytest.raises(ValidationError):
         sparse_mase(coll, 4)
+    with pytest.raises(ValidationError):
+        sparse_mase(coll, 0)
+    with pytest.raises(ValidationError):
+        joint_subspace([np.eye(3)[:, :1]], 0)
     with pytest.raises(ValidationError):
         sparse_mase(coll, 1, sparsity=1.5)
     with pytest.raises(SparsityError):

@@ -24,7 +24,7 @@ from netmanifold import (
     run_consistency_experiment,
     run_power_experiment,
 )
-from netmanifold import blas, mase, pipeline
+from netmanifold import blas, eigen, pipeline
 from netmanifold.pipeline import (
     consistency_full_config,
     consistency_reduced_config,
@@ -246,7 +246,7 @@ def test_experiment_thread_determinism():
 
 def test_experiment_thread_determinism_above_dense_crossover():
     """The warm-started eigensolver keeps replicates thread-independent."""
-    config = _tiny_consistency(k_values=(1,), nodes_base=mase.DENSE_MAX_N + 10)
+    config = _tiny_consistency(k_values=(1,), nodes_base=eigen.DENSE_MAX_N + 10)
     serial = run_consistency_experiment(config, threads=1)
     threaded = run_consistency_experiment(config, threads=3)
     assert all(r.valid for r in serial.records)
@@ -256,7 +256,7 @@ def test_experiment_thread_determinism_above_dense_crossover():
 def test_experiment_thread_determinism_on_dense_route(two_blas_threads):
     """n=150 eigh differs between one and two BLAS threads; the pin hides it."""
     config = _tiny_consistency(k_values=(1,), nodes_base=150)
-    assert config.schedule(1).n <= mase.DENSE_MAX_N
+    assert config.schedule(1).n <= eigen.DENSE_MAX_N
     serial = run_consistency_experiment(config, threads=1)
     pooled = run_consistency_experiment(config, threads=2)
     assert all(r.valid for r in serial.records)
@@ -270,13 +270,13 @@ def test_experiment_thread_determinism_on_fallback_route(monkeypatch, two_blas_t
     copies at two threads, serial and pooled runs match a run with both at
     one thread."""
     config = _tiny_consistency(k_values=(1,), nodes_base=300)
-    fallbacks, partial = [], mase._partial_eigenpairs
+    fallbacks, partial = [], eigen._partial_eigenpairs
 
     def counting_partial(a, k):
         fallbacks.append(k)
         return partial(a, k)
 
-    monkeypatch.setattr(mase, "_partial_eigenpairs", counting_partial)
+    monkeypatch.setattr(eigen, "_partial_eigenpairs", counting_partial)
     serial = run_consistency_experiment(config, threads=1)
     assert fallbacks
     pooled = run_consistency_experiment(config, threads=2)
