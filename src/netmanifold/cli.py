@@ -24,21 +24,21 @@ def _u64(text):
     return value
 
 
-def _common_flags():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed",
-        type=_u64,
-        default=None,
-        help="base seed (overrides the config's base_seed for simulate)",
-    )
-    common.add_argument(
+def _dataset_flags():
+    """Flags of the subcommands that ingest a manifest of weighted digraphs."""
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--manifest", required=True, help="dataset manifest JSON")
+    dataset.add_argument(
         "--percentile",
         type=float,
         default=25.0,
         help="censoring percentile for weighted graphs (default 25)",
     )
-    return common
+    dataset.add_argument(
+        "--symmetrize", choices=io.SYMMETRIZE_RULES, default="max",
+        help="rule merging the two directed weights of a node pair",
+    )
+    return dataset
 
 
 def build_parser():
@@ -47,7 +47,7 @@ def build_parser():
         description="Response prediction on multiple-network data via "
         "score-matrix embeddings",
     )
-    common = _common_flags()
+    dataset = _dataset_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser(
@@ -58,9 +58,7 @@ def build_parser():
         ("consistency", ("full", "reduced")),
         ("power", ("full",)),
     ):
-        p = simulate_sub.add_parser(
-            name, parents=[common], help=f"{name} experiment"
-        )
+        p = simulate_sub.add_parser(name, help=f"{name} experiment")
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--config", help="experiment config JSON")
         source.add_argument(
@@ -73,6 +71,9 @@ def build_parser():
             help="override the config's Monte Carlo replicate count",
         )
         p.add_argument(
+            "--seed", type=_u64, default=None, help="override the config's base_seed"
+        )
+        p.add_argument(
             "--threads", type=int, default=1, help="worker threads for replicates"
         )
         p.add_argument("--out", required=True, help="output directory for CSVs")
@@ -80,10 +81,9 @@ def build_parser():
 
     predict = sub.add_parser(
         "predict",
-        parents=[common],
+        parents=[dataset],
         help="predict the response of one graph in an ingested collection",
     )
-    predict.add_argument("--manifest", required=True, help="dataset manifest JSON")
     predict.add_argument(
         "--position", type=int, required=True, help="graph position within each series (1-based)"
     )
@@ -110,18 +110,13 @@ def build_parser():
         default=None,
         help="use only the first s responses (default: all labeled series)",
     )
-    predict.add_argument(
-        "--symmetrize", choices=io.SYMMETRIZE_RULES, default="max",
-        help="rule merging the two directed weights of a node pair",
-    )
     predict.set_defaults(func=_cmd_predict)
 
     analyze = sub.add_parser(
         "analyze",
-        parents=[common],
+        parents=[dataset],
         help="embed a real collection, fit the responses, run the slope F-test",
     )
-    analyze.add_argument("--manifest", required=True, help="dataset manifest JSON")
     analyze.add_argument(
         "--position", type=int, required=True, help="graph position within each series (1-based)"
     )
@@ -141,10 +136,6 @@ def build_parser():
         "--nstar", type=int, default=None, help="points embedded (default: all graphs)"
     )
     analyze.add_argument(
-        "--symmetrize", choices=io.SYMMETRIZE_RULES, default="max",
-        help="rule merging the two directed weights of a node pair",
-    )
-    analyze.add_argument(
         "--pooled-threshold",
         action="store_true",
         help="censor with one percentile threshold pooled across all graphs",
@@ -162,18 +153,13 @@ def build_parser():
 
     mase = sub.add_parser(
         "mase",
-        parents=[common],
+        parents=[dataset],
         help="estimate score matrices only, written as a long-format CSV",
     )
-    mase.add_argument("--manifest", required=True, help="dataset manifest JSON")
     mase.add_argument("--d", type=int, required=True, help="embedding dimension")
     mase.add_argument("--out", required=True, help="output CSV path")
     mase.add_argument(
         "--position", type=int, default=1, help="graph position within each series (1-based)"
-    )
-    mase.add_argument(
-        "--symmetrize", choices=io.SYMMETRIZE_RULES, default="max",
-        help="rule merging the two directed weights of a node pair",
     )
     mase.set_defaults(func=_cmd_mase)
 
@@ -227,15 +213,19 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_predict(args):
-    manifest = io.load_manifest(args.manifest)
-    collection = pipeline.collection_from_manifest(
-        manifest,
+def _dataset_collection(args, s=None):
+    """The --position graph of every --manifest series, censored and binarized."""
+    return pipeline.collection_from_manifest(
+        io.load_manifest(args.manifest),
         args.position,
         percentile=args.percentile,
         symmetrize=args.symmetrize,
-        s=args.s,
+        s=s,
     )
+
+
+def _cmd_predict(args):
+    collection = _dataset_collection(args, s=args.s)
     config = pipeline.PredictConfig(
         d=args.d, radius=args.lam, l=args.l, n_star=args.nstar, r=args.r
     )
@@ -287,20 +277,13 @@ def _cmd_analyze(args):
 
 
 def _cmd_mase(args):
-    manifest = io.load_manifest(args.manifest)
-    collection = pipeline.collection_from_manifest(
-        manifest,
-        args.position,
-        percentile=args.percentile,
-        symmetrize=args.symmetrize,
-    )
-    scores, sparsity = sparse_mase(collection, args.d)
-    rows = [
-        {"graph": k, "row": i, "col": j, "value": float(scores[k][i, j])}
+    scores, sparsity = sparse_mase(_dataset_collection(args), args.d)
+    rows = (
+        (k, i, j, float(scores[k][i, j]))
         for k in range(len(scores))
         for i in range(args.d)
         for j in range(args.d)
-    ]
+    )
     io.emit_csv(rows, args.out, ("graph", "row", "col", "value"))
     print(f"sparsity: {sparsity!r}")
     print(f"wrote {args.out}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -26,25 +27,8 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_FORMAT_VERSION = 1
 
-# (CSV column, ReplicateRecord field); power runs insert the F-test columns
-# before valid.
-REPLICATE_FIELDS = (
-    ("K", "k_index"),
-    ("replicate", "replicate"),
-    ("seed", "seed"),
-    ("n", "n"),
-    ("N", "n_graphs"),
-    ("n_star", "n_star"),
-    ("lambda", "radius"),
-    ("sq_gap", "sq_gap"),
-    ("valid", "valid"),
-)
-_F_TEST_FIELDS = tuple(
-    (name, name) for name in ("f_true", "f_hat", "reject_true", "reject_hat")
-)
-POWER_REPLICATE_FIELDS = REPLICATE_FIELDS[:-1] + _F_TEST_FIELDS + REPLICATE_FIELDS[-1:]
-REPLICATE_COLUMNS = tuple(column for column, _ in REPLICATE_FIELDS)
-POWER_REPLICATE_COLUMNS = tuple(column for column, _ in POWER_REPLICATE_FIELDS)
+# CSV names of the record fields whose column is not named after the field.
+COLUMN_NAMES = {"k_index": "K", "n_graphs": "N", "radius": "lambda"}
 EMBEDDING_COLUMNS = ("index", "z_hat", "response")
 
 SYMMETRIZE_RULES = ("max", "sum", "mean")
@@ -221,15 +205,21 @@ def _manifest_error(json_path, message):
     return ValidationError(f"manifest {json_path}: {message}")
 
 
-def load_manifest(path):
-    """Load and validate a dataset manifest (JSON)."""
+def load_json_object(path):
+    """Read a UTF-8 JSON document whose top level must be an object."""
     with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise _manifest_error("$", "top level must be an object")
+        raise ValidationError(f"{path}: top level must be an object")
+    return doc
+
+
+def load_manifest(path):
+    """Load and validate a dataset manifest (JSON)."""
+    doc = load_json_object(path)
     version = doc.get("format_version")
     if version != MANIFEST_FORMAT_VERSION:
         raise _manifest_error(
@@ -315,16 +305,20 @@ def _format_cell(value):
 
 
 def emit_csv(rows, path, columns):
-    """Write dict rows in a fixed column order with LF endings.
+    """Write rows of values, each in column order, with LF endings.
 
     Floats are repr-formatted so a reload reproduces them bit for bit; an
-    empty row list yields a header-only file.
+    empty row list yields a header-only file. A row whose length differs
+    from the header's raises ValueError.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+            cells = [_format_cell(value) for value in row]
+            if len(cells) != len(columns):
+                raise ValueError(f"{len(cells)} values for {len(columns)} columns")
+            writer.writerow(cells)
 
 
 def _parse_bool(text):
@@ -365,10 +359,24 @@ def read_csv_rows(path, expected_columns=None):
         return tuple(header), rows
 
 
-def emit_records(records, path, fields):
-    """Write one row per record; fields pairs each column with an attribute."""
-    rows = [{column: getattr(r, attr) for column, attr in fields} for r in records]
-    emit_csv(rows, path, [column for column, _ in fields])
+def record_columns(cls, power):
+    """CSV columns and the fields they hold of a record dataclass, in field order.
+
+    Fields defaulting to None hold slope-test results: power runs only.
+    """
+    fields = [f for f in dataclasses.fields(cls) if power or f.default is not None]
+    return tuple(COLUMN_NAMES.get(f.name, f.name) for f in fields), fields
+
+
+def emit_records(records, path, cls, power):
+    """Write one row per record, in the columns of record_columns(cls, power)."""
+    columns, fields = record_columns(cls, power)
+    emit_csv(([getattr(r, f.name) for f in fields] for r in records), path, columns)
+
+
+def _replicate_record():
+    from .pipeline import ReplicateRecord  # local import to avoid a cycle
+    return ReplicateRecord
 
 
 def write_replicate_records(records, path, power):
@@ -377,47 +385,37 @@ def write_replicate_records(records, path, power):
     The schema follows the experiment kind, not the records: a power run
     whose replicates all failed before their F-test keeps the F columns.
     """
-    emit_records(records, path, POWER_REPLICATE_FIELDS if power else REPLICATE_FIELDS)
+    emit_records(records, path, _replicate_record(), power)
 
 
 def load_replicate_records(path):
     """Inverse of write_replicate_records; empty F-test cells come back as None."""
-    from .pipeline import ReplicateRecord  # local import to avoid a cycle
-
+    cls = _replicate_record()
     header, rows = read_csv_rows(path)
-    schemas = {
-        REPLICATE_COLUMNS: REPLICATE_FIELDS,
-        POWER_REPLICATE_COLUMNS: POWER_REPLICATE_FIELDS,
-    }
-    if header not in schemas:
+    fields = dict(record_columns(cls, power) for power in (False, True)).get(header)
+    if fields is None:
         raise ValidationError(f"{path}: unexpected header {header}")
-    types = typing.get_type_hints(ReplicateRecord)
-    optional = {attr for _, attr in _F_TEST_FIELDS}
+    types = typing.get_type_hints(cls)
     parsers = {int: int, float: float, bool: _parse_bool}
 
-    def parse(line, column, attr, text):
-        if attr in optional and not text:
+    def parse(line, text, column, f):
+        if f.default is None and not text:
             return None
-        return _parse_cell(path, line, column, parsers[types[attr]], text)
+        return _parse_cell(path, line, column, parsers[types[f.name]], text)
 
     # emit_csv writes one record per line, after the header on line 1
     return [
-        ReplicateRecord(
-            **{
-                attr: parse(line, column, attr, row[column])
-                for column, attr in schemas[header]
-            }
-        )
+        cls(**{f.name: parse(line, row[c], c, f) for c, f in zip(header, fields)})
         for line, row in enumerate(rows, start=2)
     ]
 
 
 def write_embeddings_csv(path, embedding, responses):
     """Embedding table ``index,z_hat,response``; index counts from 0."""
-    rows = []
-    for idx, z in enumerate(embedding):
-        response = responses[idx] if idx < len(responses) else None
-        rows.append({"index": idx, "z_hat": float(z), "response": response})
+    rows = (
+        (idx, float(z), responses[idx] if idx < len(responses) else None)
+        for idx, z in enumerate(embedding)
+    )
     emit_csv(rows, path, EMBEDDING_COLUMNS)
 
 

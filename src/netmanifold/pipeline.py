@@ -52,25 +52,6 @@ DEFAULT_BASE_SEED = 20240817
 
 EXPERIMENT_FORMAT_VERSION = 1
 
-# (CSV column, KSummary field); power runs append the rejection-rate columns.
-SUMMARY_FIELDS = (
-    ("K", "k_index"),
-    ("n", "n"),
-    ("N", "n_graphs"),
-    ("n_star", "n_star"),
-    ("lambda", "radius"),
-    ("n_valid", "n_valid"),
-    ("n_failed", "n_failed"),
-    ("mean_sq_gap", "mean_sq_gap"),
-    ("median_sq_gap", "median_sq_gap"),
-)
-POWER_SUMMARY_FIELDS = SUMMARY_FIELDS + tuple(
-    (name, name) for name in ("pi_true", "pi_hat", "abs_power_gap", "se_true", "se_hat")
-)
-SUMMARY_COLUMNS = tuple(column for column, _ in SUMMARY_FIELDS)
-POWER_SUMMARY_COLUMNS = tuple(column for column, _ in POWER_SUMMARY_FIELDS)
-
-
 @dataclass(frozen=True)
 class PredictConfig:
     """Knobs of one pipeline run.
@@ -168,11 +149,7 @@ def pred_graph_resp(collection, config):
 
 def oracle_prediction(ts, ys, r):
     """Prediction from the true regressors: fit on (t_k, y_k), evaluate t_r."""
-    t = np.asarray(ts, dtype=float)
-    if not 1 <= r <= t.size:
-        raise ValidationError(f"target index r={r} outside [1, {t.size}]")
-    fit = fit_slr(t[: len(ys)], ys)
-    return predict_slr(fit, float(t[r - 1]))
+    return predict_from_embeddings(ts, ys, r)
 
 
 @dataclass(frozen=True)
@@ -343,13 +320,7 @@ def experiment_config_from_json(path):
     Keys are the ExperimentConfig fields, with kind stored as "experiment".
     Float fields accept JSON integers as they are.
     """
-    with io.open_text(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: top level must be an object")
+    doc = io.load_json_object(path)
     fields = {_json_key(f.name): f for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(doc) - set(fields) - {"format_version"}
     if unknown:
@@ -391,9 +362,13 @@ def experiment_config_to_json(config, path):
         fh.write("\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ReplicateRecord:
-    """One immutable Monte Carlo replicate outcome."""
+    """One immutable Monte Carlo replicate outcome.
+
+    The field order is the column order of replicates.csv (io.record_columns);
+    the slope-test fields, None by default, are written by power runs only.
+    """
 
     k_index: int
     replicate: int
@@ -403,16 +378,16 @@ class ReplicateRecord:
     n_star: int
     radius: float
     sq_gap: float
-    valid: bool
     f_true: float = None
     f_hat: float = None
     reject_true: bool = None
     reject_hat: bool = None
+    valid: bool
 
 
 @dataclass(frozen=True)
 class KSummary:
-    """Per-K aggregate over the valid replicates."""
+    """Per-K aggregate over the valid replicates; fields in summary.csv order."""
 
     k_index: int
     n: int
@@ -568,8 +543,7 @@ def _run_experiment(config, kind, threads, out_dir):
         replicate_path = os.path.join(out_dir, "replicates.csv")
         summary_path = os.path.join(out_dir, "summary.csv")
         io.write_replicate_records(records, replicate_path, power=power)
-        fields = POWER_SUMMARY_FIELDS if power else SUMMARY_FIELDS
-        io.emit_records(summaries, summary_path, fields)
+        io.emit_records(summaries, summary_path, KSummary, power)
         csv_paths = {"replicates": replicate_path, "summary": summary_path}
     elapsed = time.perf_counter() - start
     failed = sum(1 for r in records if not r.valid)
@@ -674,7 +648,8 @@ def analyze_real_dataset(
         collection, d, radius, l, n_star, upper_triangle=True
     )
     with np.errstate(divide="ignore", invalid="ignore"):
-        correlations = np.corrcoef(upper, rowvar=False)
+        # one coordinate (d=1) gives a 0-d array; the CSV wants a 1 x 1 matrix
+        correlations = np.atleast_2d(np.corrcoef(upper, rowvar=False))
     ys = np.asarray(collection.responses, dtype=float)
     fit = fit_slr(z[:labeled], ys)
     test = f_test(z[:labeled], ys, level)
@@ -694,11 +669,7 @@ def analyze_real_dataset(
         io.write_embeddings_csv(embeddings_path, z, list(collection.responses))
         labels = _upper_triangle_labels(d)
         corr_path = os.path.join(out_dir, "correlations.csv")
-        io.emit_csv(
-            [dict(zip(labels, row)) for row in correlations],
-            corr_path,
-            labels,
-        )
+        io.emit_csv(correlations, corr_path, labels)
         report_path = os.path.join(out_dir, "test_report.csv")
         report = {
             "f_value": test.f_value,
@@ -713,7 +684,7 @@ def analyze_real_dataset(
             "sample_size": fit.sample_size,
             "sparsity": diagnostics.sparsity,
         }
-        io.emit_csv([report], report_path, tuple(report))
+        io.emit_csv([report.values()], report_path, list(report))
         csv_paths = {
             "embeddings": embeddings_path,
             "correlations": corr_path,
@@ -721,14 +692,8 @@ def analyze_real_dataset(
         }
         if local_linear:
             local_path = os.path.join(out_dir, "local_fit.csv")
-            io.emit_csv(
-                [
-                    {"index": i, "z_hat": float(z[i]), "local_fit": float(local_fit[i])}
-                    for i in range(len(z))
-                ],
-                local_path,
-                ("index", "z_hat", "local_fit"),
-            )
+            rows = zip(range(len(z)), z, local_fit)
+            io.emit_csv(rows, local_path, ("index", "z_hat", "local_fit"))
             csv_paths["local_fit"] = local_path
     return AnalysisReport(
         n_series=manifest.n_series,
@@ -770,16 +735,18 @@ def collection_from_manifest(
         pooled = np.concatenate([io.nonzero_weight_magnitudes(g) for g in graphs])
         if not pooled.size:
             raise ValidationError("no nonzero weights anywhere in the collection")
+        if not 0.0 <= percentile <= 100.0:  # np.percentile raises ValueError
+            raise ValidationError("percentile must lie in [0, 100]")
         threshold = float(np.percentile(pooled, percentile))
     adjacency = tuple(
         io.censor_binarize(g, percentile, rule=symmetrize, threshold=threshold)
         for g in graphs
     )
     labeled = manifest.labeled_count if s is None else s
-    if labeled > manifest.labeled_count:
+    if not 0 <= labeled <= manifest.labeled_count:
         raise ValidationError(
-            f"requested s={labeled} exceeds the {manifest.labeled_count} "
-            "labeled series"
+            f"requested s={labeled} is negative or exceeds the "
+            f"{manifest.labeled_count} labeled series"
         )
     return GraphCollection(graphs=adjacency, responses=manifest.responses[:labeled])
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netmanifold import experiment_config_to_json
 from netmanifold.cli import main
@@ -49,6 +53,10 @@ def test_simulate_consistency_tiny(tiny_config_path, tmp_path, capsys):
     )
     assert len(rows) == 4
     assert {row["K"] for row in rows} == {"1", "2"}
+    header, _ = read_csv_rows(out / "summary.csv")
+    assert header == tuple(
+        "K,n,N,n_star,lambda,n_valid,n_failed,mean_sq_gap,median_sq_gap".split(",")
+    )
 
 
 def test_simulate_deterministic_across_runs_and_threads(
@@ -102,6 +110,11 @@ def test_simulate_power_tiny(tmp_path, capsys):
     assert "pi_true=" in stdout and "pi_hat=" in stdout
     header, _ = read_csv_rows(tmp_path / "o" / "replicates.csv")
     assert "f_true" in header and "reject_hat" in header
+    header, _ = read_csv_rows(tmp_path / "o" / "summary.csv")
+    assert header == tuple(
+        "K,n,N,n_star,lambda,n_valid,n_failed,mean_sq_gap,median_sq_gap,"
+        "pi_true,pi_hat,abs_power_gap,se_true,se_hat".split(",")
+    )
 
 
 def test_simulate_kind_mismatch_exits_2(tiny_config_path, tmp_path, capsys):
@@ -161,6 +174,29 @@ def test_threads_flag_only_on_simulate(weighted_dataset, capsys, argv):
         main(argv + ["--manifest", manifest_path, "--threads", "0"])
     assert exc_info.value.code == 2
     assert "unrecognized arguments: --threads 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["predict", "--position", "1", "--d", "2", "--lambda", "8.0",
+          "--l", "6", "--nstar", "10", "--r", "6", "--manifest", "m.json"], "--seed 1"),
+        (["analyze", "--position", "1", "--lambda", "8.0", "--manifest", "m.json"],
+         "--seed 1"),
+        (["mase", "--d", "2", "--out", "m.csv", "--manifest", "m.json"], "--seed 1"),
+        (["simulate", "consistency", "--config", "c.json", "--out", "o"],
+         "--percentile 30"),
+        (["simulate", "power", "--config", "c.json", "--out", "o"], "--percentile 30"),
+    ],
+    ids=["predict-seed", "analyze-seed", "mase-seed", "consistency-percentile",
+         "power-percentile"],
+)
+def test_flags_exist_only_where_read(capsys, argv, flag):
+    """--seed belongs to simulate, --percentile to the manifest subcommands."""
+    with pytest.raises(SystemExit) as exc_info:  # rejected before any work
+        main(argv + flag.split())
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_predict_happy_path(weighted_dataset, capsys):
@@ -390,3 +426,96 @@ def test_bad_inputs_exit_2_without_traceback(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert expected in err and "Traceback" not in err
+
+
+def _flag(name, typical, wild, required=True):
+    """One --name=value argument: typical three times in four, else drawn from wild.
+
+    An optional flag may also be left out (None).
+    """
+    value = st.integers(0, 3).flatmap(lambda i: wild if i == 0 else st.just(typical))
+    arg = value.map(lambda v: f"--{name}={v}")
+    return arg if required else st.none() | arg
+
+
+_INTS = st.integers(-2, 12) | st.integers(-10**6, 10**6)
+_REALS = st.floats()
+_DATASET = {
+    "percentile": _flag("percentile", 25.0, _REALS, required=False),
+    "symmetrize": _flag(
+        "symmetrize", "max", st.sampled_from(["sum", "mean", "min"]), required=False
+    ),
+}
+_SUBCOMMANDS = {  # flags of each subcommand but its manifest, config and output
+    "simulate": {
+        "replicates": _flag("replicates", 2, st.integers(-1, 2), required=False),
+        "seed": _flag("seed", 1, st.integers(-1, 2**64), required=False),
+        "threads": _flag("threads", 1, st.integers(-1, 2), required=False),
+    },
+    "predict": dict(
+        _DATASET,
+        position=_flag("position", 1, _INTS),
+        d=_flag("d", 2, _INTS),
+        lam=_flag("lambda", 8.0, _REALS),
+        l=_flag("l", 6, _INTS),
+        nstar=_flag("nstar", 10, _INTS),
+        r=_flag("r", 6, _INTS),
+        s=_flag("s", 5, _INTS, required=False),
+    ),
+    "analyze": dict(
+        _DATASET,
+        position=_flag("position", 1, _INTS),
+        lam=_flag("lambda", 8.0, _REALS),
+        d=_flag("d", 2, _INTS, required=False),
+        l=_flag("l", 10, _INTS, required=False),
+        nstar=_flag("nstar", 10, _INTS, required=False),
+        level=_flag("level", 0.05, _REALS, required=False),
+        pooled=st.sampled_from([None, "--pooled-threshold"]),
+        local=st.sampled_from([None, "--local-linear"]),
+        bandwidth=_flag("bandwidth", 0.5, _REALS, required=False),
+    ),
+    "mase": dict(
+        _DATASET,
+        d=_flag("d", 2, _INTS),
+        position=_flag("position", 1, _INTS, required=False),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_power_config_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "power.json"
+    experiment_config_to_json(power_full_config(k_values=(1,), mc_replicates=2), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_cli_exit_codes_under_fuzzed_flags(
+    weighted_dataset, tiny_config_path, tiny_power_config_path, tmp_path_factory, command
+):
+    """Any flag values end in exit 0, 2 or 3, never in another exception."""
+    manifest_path, _ = weighted_dataset
+    out = str(tmp_path_factory.mktemp("fuzz") / "out")
+    heads = {
+        "simulate": st.sampled_from([
+            ["simulate", "consistency", "--config", tiny_config_path, "--out", out],
+            ["simulate", "power", "--config", tiny_power_config_path, "--out", out],
+        ]),
+        "predict": st.just(["predict", "--manifest", manifest_path]),
+        "analyze": st.just(["analyze", "--manifest", manifest_path, "--out", out]),
+        "mase": st.just(["mase", "--manifest", manifest_path, "--out", out + ".csv"]),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(heads[command], st.fixed_dictionaries(_SUBCOMMANDS[command]))
+    def run(head, flags):
+        argv = head + [arg for arg in flags.values() if arg is not None]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert code in (0, 2, 3), (argv, sink.getvalue())
+
+    run()

@@ -19,8 +19,6 @@ from netmanifold import (
 )
 from netmanifold.io import (
     EMBEDDING_COLUMNS,
-    POWER_REPLICATE_COLUMNS,
-    REPLICATE_COLUMNS,
     SYMMETRIZE_RULES,
     WeightedDigraph,
     emit_csv,
@@ -297,10 +295,7 @@ def test_manifest_save_load_round_trip(tmp_path, weighted_dataset):
 
 
 def test_emit_csv_deterministic_bytes(tmp_path):
-    rows = [
-        {"a": math.pi, "b": True, "c": None, "d": 3},
-        {"a": -0.1, "b": False, "c": "x", "d": -7},
-    ]
+    rows = [(math.pi, True, None, 3), (-0.1, False, "x", -7)]
     path = tmp_path / "t.csv"
     emit_csv(rows, path, ("a", "b", "c", "d"))
     content = path.read_bytes()
@@ -320,6 +315,20 @@ def test_emit_csv_empty_rows(tmp_path):
     assert rows == []
     with pytest.raises(ValidationError, match="unexpected header"):
         read_csv_rows(path, ("x", "z"))
+
+
+def test_emit_csv_rejects_rows_of_another_length(tmp_path):
+    for row in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match=f"{len(row)} values for 3 columns"):
+            emit_csv([(1, 2, 3), row], tmp_path / "t.csv", ("a", "b", "c"))
+
+
+# the replicates.csv headers, as README "Output CSVs" lists them
+REPLICATE_HEADER = tuple("K,replicate,seed,n,N,n_star,lambda,sq_gap,valid".split(","))
+POWER_REPLICATE_HEADER = tuple(
+    "K,replicate,seed,n,N,n_star,lambda,sq_gap,f_true,f_hat,reject_true,reject_hat,valid"
+    .split(",")
+)
 
 
 def _record(j, **overrides):
@@ -343,7 +352,7 @@ def test_replicate_records_round_trip(tmp_path):
     path = tmp_path / "r.csv"
     write_replicate_records(records, path, power=False)
     header, _ = read_csv_rows(path)
-    assert header == REPLICATE_COLUMNS
+    assert header == REPLICATE_HEADER
     again = load_replicate_records(path)
     assert again == records
     mean = np.mean([r.sq_gap for r in records])
@@ -363,7 +372,7 @@ def test_power_records_round_trip_with_failures(tmp_path):
     path = tmp_path / "p.csv"
     write_replicate_records([ok, failed], path, power=True)
     header, _ = read_csv_rows(path)
-    assert header == POWER_REPLICATE_COLUMNS
+    assert header == POWER_REPLICATE_HEADER
     again = load_replicate_records(path)
     assert again[0] == ok
     assert again[1].valid is False
@@ -396,7 +405,7 @@ def test_power_schema_pinned_when_all_failed(tmp_path):
     path = tmp_path / "allfail.csv"
     write_replicate_records([failed], path, power=True)
     header, _ = read_csv_rows(path)
-    assert header == POWER_REPLICATE_COLUMNS
+    assert header == POWER_REPLICATE_HEADER
 
 
 def test_embeddings_csv_round_trip(tmp_path):

@@ -425,3 +425,23 @@ def test_collection_from_manifest_prefix_cap(weighted_dataset):
     assert coll.n_graphs == 10
     with pytest.raises(ValidationError, match="exceeds"):
         collection_from_manifest(manifest, 1, s=6)
+    with pytest.raises(ValidationError, match="negative"):
+        collection_from_manifest(manifest, 1, s=-1)  # would slice from the end
+
+
+@pytest.mark.parametrize("percentile", [101.0, float("nan")])
+def test_pooled_threshold_rejects_percentile_out_of_range(weighted_dataset, percentile):
+    manifest = load_manifest(weighted_dataset[0])
+    with pytest.raises(ValidationError, match="percentile"):
+        collection_from_manifest(
+            manifest, 1, percentile=percentile, pooled_threshold=True
+        )
+
+
+def test_analyze_one_dimensional_scores(weighted_dataset, tmp_path):
+    """d=1 has one score coordinate: its correlation matrix is 1 x 1."""
+    report = analyze_real_dataset(
+        weighted_dataset[0], 1, d=1, radius=8.0, out_dir=str(tmp_path)
+    )
+    assert report.correlations.shape == (1, 1)
+    assert (tmp_path / "correlations.csv").read_bytes() == b"q_00\n1.0\n"
