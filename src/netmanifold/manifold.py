@@ -119,18 +119,20 @@ def raw_stress(z, delta):
 def cmds_embed(delta):
     """Classical-scaling initializer: top eigenpair of the centered Gram.
 
-    Doubly centers -1/2 * (delta o delta) and scales its top signed
-    eigenvector (eigen.top_eigenpairs) by the square root of its eigenvalue.
-    That eigenvalue is positive for any nonzero hollow delta (the centered
-    Gram has positive trace); at delta = 0 the embedding is all zeros, with a
-    warning. Raises ValidationError unless delta is a finite square matrix.
+    Doubly centers -1/2 * (delta o delta) by its row and column means (no
+    BLAS product, so the rounding does not depend on the thread count) and
+    scales its top signed eigenvector (eigen.top_eigenpairs) by the square
+    root of its eigenvalue. That eigenvalue is positive for any nonzero
+    hollow delta (the centered Gram has positive trace); at delta = 0 the
+    embedding is all zeros, with a warning. Raises ValidationError unless
+    delta is a finite square matrix.
     """
     delta = square_matrix(delta)
     l = delta.shape[0]
     if l == 1:
         return np.zeros(1)
-    centering = np.eye(l) - np.ones((l, l)) / l
-    gram = -0.5 * centering @ (delta * delta) @ centering
+    sq = delta * delta
+    gram = -0.5 * (sq - sq.mean(0) - sq.mean(1)[:, None] + sq.mean())
     values, vectors, _ = top_eigenpairs(gram, 1, signed=True)
     if values[0] <= 0.0:
         warnings.warn(

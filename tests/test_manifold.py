@@ -15,6 +15,7 @@ from netmanifold import (
     shortest_path_matrix,
     smacof_minimize,
 )
+from netmanifold import blas, eigen
 from netmanifold.graphs import CURVE_A_DIAG_SCALE, CURVE_A_OFFDIAG_SCALE
 
 
@@ -208,6 +209,39 @@ def test_cmds_recovers_line_configuration():
     z = cmds_embed(delta)
     est = np.abs(z[:, None] - z[None, :])
     assert np.abs(est - delta).max() < 1e-10
+
+
+@pytest.mark.parametrize("l", [150, 300], ids=["dense-l150", "partial-l300"])
+def test_cmds_centering_by_means_agrees_with_centering_products(l):
+    """Agreement bound of centering by row and column means against the two l x l
+    products J (delta o delta) J: the Gram to 1e-13 max|G|, the cMDS vector to
+    1e-10 max|z| and the SMACOF embedding to 1e-8 relative to max|z|."""
+    rng = np.random.default_rng(17)
+    t = np.sort(rng.uniform(0.0, 3.0, l))
+    points = np.column_stack([np.cos(t), np.sin(t), 0.05 * rng.standard_normal(l)])
+    delta = shortest_path_matrix(localization_graph(points, 0.3), l)
+    sq = delta * delta
+    centering = np.eye(l) - np.ones((l, l)) / l
+    gram = -0.5 * centering @ sq @ centering
+    by_means = -0.5 * (sq - sq.mean(0) - sq.mean(1)[:, None] + sq.mean())
+    assert np.abs(by_means - gram).max() <= 1e-13 * np.abs(gram).max()
+    values, vectors, _ = eigen.top_eigenpairs(gram, 1, signed=True)
+    z0 = np.sqrt(values[0]) * vectors[:, 0]
+    z0 -= z0.mean()
+    z = cmds_embed(delta)
+    assert np.abs(z - z0).max() <= 1e-10 * np.abs(z0).max()
+    fitted, _ = smacof_minimize(delta, z)
+    expected, _ = smacof_minimize(delta, z0)
+    assert np.abs(fitted - expected).max() <= 1e-8 * np.abs(expected).max()
+
+
+def test_cmds_is_bit_stable_across_blas_threads(two_blas_threads):
+    """The centering runs outside any BLAS pin, so it must not use BLAS products."""
+    points = np.random.default_rng(5).standard_normal((1000, 3))
+    delta = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+    z = cmds_embed(delta)
+    with blas.single_thread():
+        assert np.array_equal(cmds_embed(delta), z)
 
 
 def test_smacof_recovers_realizable_line():
