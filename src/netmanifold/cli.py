@@ -167,22 +167,14 @@ def build_parser():
 
 
 def _cmd_simulate(args):
-    if args.config is not None:
-        config = pipeline.experiment_config_from_json(args.config)
-        if config.kind != args.experiment:
-            raise ValidationError(
-                f"{args.config} describes a {config.kind} experiment, "
-                f"not {args.experiment}"
-            )
-    elif args.experiment == "consistency":
-        factory = (
-            pipeline.consistency_full_config
-            if args.preset == "full"
-            else pipeline.consistency_reduced_config
+    path = args.config
+    if path is None:
+        path = pipeline._preset_path(args.experiment, args.preset)
+    config = pipeline.experiment_config_from_json(path)
+    if config.kind != args.experiment:
+        raise ValidationError(
+            f"{path} describes a {config.kind} experiment, not {args.experiment}"
         )
-        config = factory()
-    else:
-        config = pipeline.power_full_config()
     overrides = {}
     if args.replicates is not None:
         overrides["mc_replicates"] = args.replicates

@@ -1,4 +1,4 @@
-"""File formats: weighted edge lists, dataset manifests, and record CSVs.
+"""File formats: weighted edge lists, dataset manifests, and experiment records.
 
 Edge lists are CSV files with header ``src,dst,weight`` and zero-based
 integer node ids. Manifests are JSON documents listing per-series graph
@@ -359,6 +359,49 @@ def read_csv_rows(path, expected_columns=None):
         return tuple(header), rows
 
 
+@dataclass(frozen=True, kw_only=True)
+class ReplicateRecord:
+    """One immutable Monte Carlo replicate outcome.
+
+    The field order is the column order of replicates.csv (record_columns);
+    the slope-test fields, None by default, are written by power runs only.
+    """
+
+    k_index: int
+    replicate: int
+    seed: int
+    n: int
+    n_graphs: int
+    n_star: int
+    radius: float
+    sq_gap: float
+    f_true: float = None
+    f_hat: float = None
+    reject_true: bool = None
+    reject_hat: bool = None
+    valid: bool
+
+
+@dataclass(frozen=True)
+class KSummary:
+    """Per-K aggregate over the valid replicates; fields in summary.csv order."""
+
+    k_index: int
+    n: int
+    n_graphs: int
+    n_star: int
+    radius: float
+    n_valid: int
+    n_failed: int
+    mean_sq_gap: float
+    median_sq_gap: float
+    pi_true: float = None
+    pi_hat: float = None
+    abs_power_gap: float = None
+    se_true: float = None
+    se_hat: float = None
+
+
 def record_columns(cls, power):
     """CSV columns and the fields they hold of a record dataclass, in field order.
 
@@ -374,28 +417,23 @@ def emit_records(records, path, cls, power):
     emit_csv(([getattr(r, f.name) for f in fields] for r in records), path, columns)
 
 
-def _replicate_record():
-    from .pipeline import ReplicateRecord  # local import to avoid a cycle
-    return ReplicateRecord
-
-
 def write_replicate_records(records, path, power):
     """Emit per-replicate records; power runs add the F-test columns.
 
     The schema follows the experiment kind, not the records: a power run
     whose replicates all failed before their F-test keeps the F columns.
     """
-    emit_records(records, path, _replicate_record(), power)
+    emit_records(records, path, ReplicateRecord, power)
 
 
 def load_replicate_records(path):
     """Inverse of write_replicate_records; empty F-test cells come back as None."""
-    cls = _replicate_record()
     header, rows = read_csv_rows(path)
-    fields = dict(record_columns(cls, power) for power in (False, True)).get(header)
+    schemas = dict(record_columns(ReplicateRecord, power) for power in (False, True))
+    fields = schemas.get(header)
     if fields is None:
         raise ValidationError(f"{path}: unexpected header {header}")
-    types = typing.get_type_hints(cls)
+    types = typing.get_type_hints(ReplicateRecord)
     parsers = {int: int, float: float, bool: _parse_bool}
 
     def parse(line, text, column, f):
@@ -405,7 +443,9 @@ def load_replicate_records(path):
 
     # emit_csv writes one record per line, after the header on line 1
     return [
-        cls(**{f.name: parse(line, row[c], c, f) for c, f in zip(header, fields)})
+        ReplicateRecord(
+            **{f.name: parse(line, row[c], c, f) for c, f in zip(header, fields)}
+        )
         for line, row in enumerate(rows, start=2)
     ]
 

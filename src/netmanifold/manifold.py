@@ -59,8 +59,8 @@ def localization_graph(points, radius):
     Ties at exactly the radius are excluded. Zero-weight edges (coincident
     points) are kept.
     """
-    if radius <= 0.0:
-        raise ValidationError("neighborhood radius must be positive")
+    if not 0.0 < radius < np.inf:  # False for NaN
+        raise ValidationError("neighborhood radius must be finite and positive")
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise ValidationError("expected an (m, D) point array")

@@ -35,6 +35,7 @@ import numpy as np
 from . import blas, io
 from .errors import DegenerateDesignError, NumericalError, ValidationError
 from .graphs import VARIANTS, GraphCollection, sample_collection
+from .io import KSummary, ReplicateRecord
 from .manifold import StressTrace, isomap_1d
 from .mase import coords_matrix, scaled_score_points, sparse_mase
 from .regression import (
@@ -71,8 +72,8 @@ class PredictConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValidationError("d must be >= 1")
-        if self.radius <= 0.0:
-            raise ValidationError("the neighborhood radius must be positive")
+        if not 0.0 < self.radius < math.inf:  # False for NaN
+            raise ValidationError("the neighborhood radius must be finite and positive")
         if self.l < 1:
             raise ValidationError("l must be >= 1")
         if self.n_star < self.l:
@@ -212,12 +213,16 @@ class ExperimentConfig:
             raise ValidationError("mc_replicates must be >= 1")
         if not 0 <= self.base_seed < 2**64:
             raise ValidationError("base_seed must lie in [0, 2^64)")
-        if self.lambda_base <= 0.0 or not 0.0 < self.lambda_decay <= 1.0:
-            raise ValidationError("need lambda_base > 0 and lambda_decay in (0, 1]")
+        if not 0.0 < self.lambda_base < math.inf or not 0.0 < self.lambda_decay <= 1.0:
+            raise ValidationError(
+                "need a finite lambda_base > 0 and lambda_decay in (0, 1]"
+            )
         if not 0.0 < self.isomap_exponent <= 1.0:
             raise ValidationError("isomap_exponent must lie in (0, 1]")
-        if self.sigma_eps < 0.0:
-            raise ValidationError("sigma_eps must be non-negative")
+        if not 0.0 <= self.sigma_eps < math.inf:
+            raise ValidationError("sigma_eps must be finite and non-negative")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValidationError("alpha and beta must be finite")
         for k in self.k_values:
             entry = self.schedule(k)
             if entry.n < 2 or entry.n % 2 != 0:
@@ -241,64 +246,27 @@ class ExperimentConfig:
         )
 
 
+def _preset_path(kind, name):
+    """The packaged JSON file of the built-in schedule `name` of experiment `kind`."""
+    return os.path.join(os.path.dirname(__file__), "presets", f"{kind}_{name}.json")
+
+
 def consistency_full_config(**overrides):
     """Full-scale squared-gap experiment schedule (K = 1..12)."""
-    base = dict(
-        kind="consistency",
-        k_values=tuple(range(1, 13)),
-        nodes_base=500,
-        nodes_step=150,
-        graphs_base=15,
-        graphs_step=1,
-        isomap_exponent=0.75,
-        lambda_base=2.0,
-        lambda_decay=0.99,
-        s=5,
-        l=6,
-        r=6,
-        alpha=2.0,
-        beta=5.0,
-        sigma_eps=0.01,
-        variant="curve-A",
-        d=2,
-        mc_replicates=100,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    config = experiment_config_from_json(_preset_path("consistency", "full"))
+    return dataclasses.replace(config, **overrides)
 
 
 def consistency_reduced_config(**overrides):
     """Desk-scale squared-gap schedule (K = 1..6, smaller graphs)."""
-    base = dict(k_values=tuple(range(1, 7)), nodes_base=200, nodes_step=100,
-                mc_replicates=30)
-    base.update(overrides)
-    return consistency_full_config(**base)
+    config = experiment_config_from_json(_preset_path("consistency", "reduced"))
+    return dataclasses.replace(config, **overrides)
 
 
 def power_full_config(**overrides):
     """Full-scale power-agreement schedule (K = 1..20, curve-B)."""
-    base = dict(
-        kind="power",
-        k_values=tuple(range(1, 21)),
-        nodes_base=16,
-        nodes_step=4,
-        graphs_base=12,
-        graphs_step=1,
-        isomap_exponent=0.85,
-        lambda_base=0.95,
-        lambda_decay=0.99,
-        s=5,
-        l=5,
-        alpha=2.0,
-        beta=5.0,
-        sigma_eps=0.1,
-        variant="curve-B",
-        d=2,
-        level=0.05,
-        mc_replicates=100,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    config = experiment_config_from_json(_preset_path("power", "full"))
+    return dataclasses.replace(config, **overrides)
 
 
 def _json_key(name):
@@ -362,49 +330,6 @@ def experiment_config_to_json(config, path):
         fh.write("\n")
 
 
-@dataclass(frozen=True, kw_only=True)
-class ReplicateRecord:
-    """One immutable Monte Carlo replicate outcome.
-
-    The field order is the column order of replicates.csv (io.record_columns);
-    the slope-test fields, None by default, are written by power runs only.
-    """
-
-    k_index: int
-    replicate: int
-    seed: int
-    n: int
-    n_graphs: int
-    n_star: int
-    radius: float
-    sq_gap: float
-    f_true: float = None
-    f_hat: float = None
-    reject_true: bool = None
-    reject_hat: bool = None
-    valid: bool
-
-
-@dataclass(frozen=True)
-class KSummary:
-    """Per-K aggregate over the valid replicates; fields in summary.csv order."""
-
-    k_index: int
-    n: int
-    n_graphs: int
-    n_star: int
-    radius: float
-    n_valid: int
-    n_failed: int
-    mean_sq_gap: float
-    median_sq_gap: float
-    pi_true: float = None
-    pi_hat: float = None
-    abs_power_gap: float = None
-    se_true: float = None
-    se_hat: float = None
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
@@ -434,11 +359,9 @@ def _power_scores(config, entry, collection, ts, ys):
     z, _, _ = _embed_collection(
         collection, config.d, entry.radius, config.l, entry.n_star
     )
-    reports, fitted = [], []
-    for x in (ts[: config.s], z[: config.s]):
-        reports.append(f_test(x, ys, config.level))
-        fit = fit_slr(x, ys)
-        fitted.append(fit.intercept + fit.slope * x)
+    xs = (ts[: config.s], z[: config.s])
+    reports = [f_test(x, ys, config.level) for x in xs]
+    fitted = [r.fit.intercept + r.fit.slope * x for r, x in zip(reports, xs)]
     return dict(
         sq_gap=float(((fitted[1] - fitted[0]) ** 2).mean()),
         f_true=reports[0].f_value,
@@ -651,7 +574,6 @@ def analyze_real_dataset(
         # one coordinate (d=1) gives a 0-d array; the CSV wants a 1 x 1 matrix
         correlations = np.atleast_2d(np.corrcoef(upper, rowvar=False))
     ys = np.asarray(collection.responses, dtype=float)
-    fit = fit_slr(z[:labeled], ys)
     test = f_test(z[:labeled], ys, level)
     local_fit = None
     pseudo_r2 = None
@@ -679,9 +601,9 @@ def analyze_real_dataset(
             "p_value": test.p_value,
             "reject": test.reject,
             "level": test.level,
-            "intercept": fit.intercept,
-            "slope": fit.slope,
-            "sample_size": fit.sample_size,
+            "intercept": test.fit.intercept,
+            "slope": test.fit.slope,
+            "sample_size": test.fit.sample_size,
             "sparsity": diagnostics.sparsity,
         }
         io.emit_csv([report.values()], report_path, list(report))
@@ -704,7 +626,7 @@ def analyze_real_dataset(
         correlations=correlations,
         embedding=z,
         responses=collection.responses,
-        fit=fit,
+        fit=test.fit,
         test=test,
         stress=diagnostics.stress,
         local_fit=local_fit,

@@ -24,7 +24,7 @@ class RegressionFit:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of the slope F-test at a given level."""
+    """Outcome of the slope F-test at a given level, with the line it tested."""
 
     f_value: float
     df: tuple
@@ -32,6 +32,7 @@ class TestReport:
     p_value: float
     reject: bool
     level: float
+    fit: RegressionFit
 
 
 def _as_1d(name, values):
@@ -135,6 +136,7 @@ def f_test(zs, ys, level=0.05):
         p_value=float(fdtrc(1, df2, f_value)),
         reject=f_value > critical,
         level=level,
+        fit=fit,
     )
 
 
@@ -150,8 +152,8 @@ def fit_local_linear(zs, ys, bandwidth, query):
     y = _as_1d("responses", ys)
     if z.size != y.size:
         raise ValidationError("regressors and responses must have equal length")
-    if bandwidth <= 0.0:
-        raise ValidationError("bandwidth must be positive")
+    if not 0.0 < bandwidth < math.inf:  # False for NaN
+        raise ValidationError("bandwidth must be finite and positive")
     u = z - query
     w = np.exp(-(u * u) / (2.0 * bandwidth * bandwidth))
     if int((w > 0.0).sum()) < 2:

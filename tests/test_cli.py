@@ -1,10 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netmanifold import experiment_config_to_json
@@ -517,5 +518,70 @@ def test_cli_exit_codes_under_fuzzed_flags(
             except SystemExit as exc:  # argparse rejects the command line
                 code = exc.code
         assert code in (0, 2, 3), (argv, sink.getvalue())
+
+    run()
+
+
+# Every flag of one valid predict and analyze command line; analyze adds --local-linear.
+_TYPICAL = {
+    "predict": {"position": 1, "d": 2, "lambda": 8.0, "l": 6, "nstar": 10, "r": 6},
+    "analyze": {"position": 1, "d": 2, "lambda": 8.0, "bandwidth": 0.5},
+}
+_RADIUS_OR_BANDWIDTH = [
+    ("predict", "lambda"), ("analyze", "lambda"), ("analyze", "bandwidth")
+]
+
+
+def _typical_argv(command, manifest_path, flag, value):
+    """The typical command line with one flag set to value."""
+    flags = dict(_TYPICAL[command], **{flag: value})
+    argv = [command, "--manifest", manifest_path]
+    argv += [f"--{name}={v}" for name, v in flags.items()]
+    return argv + (["--local-linear"] if command == "analyze" else [])
+
+
+def _exit_code(argv):
+    """main's exit code and everything it printed."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(argv)
+    return code, sink.getvalue()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("lambda_base", math.nan), ("sigma_eps", math.inf), ("alpha", math.nan)],
+)
+def test_simulate_config_non_finite_number_exits_2(
+    tiny_config_path, tmp_path, capsys, key, value
+):
+    with open(tiny_config_path) as fh:
+        doc = json.load(fh)
+    doc[key] = value  # written as NaN or Infinity, which json.load accepts
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    code = main(
+        ["simulate", "consistency", "--config", str(path),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", _RADIUS_OR_BANDWIDTH)
+def test_cli_bad_radius_or_bandwidth_exits_2_under_fuzz(
+    weighted_dataset, command, flag
+):
+    """One NaN, infinite or non-positive --lambda or --bandwidth exits 2, not 0 or 3."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(max_value=0.0))
+    @example(math.nan)
+    @example(math.inf)
+    def run(value):
+        argv = _typical_argv(command, weighted_dataset[0], flag, value)
+        code, output = _exit_code(argv)
+        assert code == 2, (argv, output)
+        assert output.startswith("error:") and "finite and positive" in output
 
     run()

@@ -81,6 +81,12 @@ def test_localization_graph_validation():
         localization_graph(np.zeros(3), 1.0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_localization_graph_rejects_non_finite_radius(radius):
+    with pytest.raises(ValidationError, match="finite"):
+        localization_graph(np.zeros((3, 1)), radius)
+
+
 def test_shortest_path_unit_path_graph():
     points = np.array([[0.0], [1.0], [2.0]])
     graph = localization_graph(points, 1.5)

@@ -65,6 +65,12 @@ def test_predict_config_validation():
         PredictConfig(d=2, radius=1.0, l=6, n_star=7, r=7)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_predict_config_rejects_non_finite_radius(radius):
+    with pytest.raises(ValidationError, match="finite"):
+        PredictConfig(d=2, radius=radius, l=6, n_star=7, r=6)
+
+
 def test_predict_from_embeddings_affine_invariance():
     rng = np.random.default_rng(1)
     z = rng.standard_normal(8)
@@ -167,6 +173,22 @@ def test_experiment_config_validation():
         _tiny_consistency(lambda_decay=1.5)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("lambda_base", math.nan),
+        ("lambda_base", math.inf),
+        ("sigma_eps", math.nan),
+        ("sigma_eps", math.inf),
+        ("alpha", math.nan),
+        ("beta", -math.inf),
+    ],
+)
+def test_experiment_config_rejects_non_finite_numbers(key, value):
+    with pytest.raises(ValidationError, match=key):
+        _tiny_consistency(**{key: value})
+
+
 def test_config_json_round_trip(tmp_path):
     config = _tiny_power()
     path = tmp_path / "config.json"
@@ -186,7 +208,7 @@ def test_config_json_round_trip(tmp_path):
     ],
 )
 def test_presets_serialize_to_shipped_configs(tmp_path, factory, name):
-    shipped = pathlib.Path(__file__).resolve().parent.parent / "configs" / name
+    shipped = pathlib.Path(pipeline.__file__).parent / "presets" / name
     path = tmp_path / name
     experiment_config_to_json(factory(), path)
     assert path.read_bytes() == shipped.read_bytes()

@@ -157,6 +157,7 @@ def test_f_test_report_fields():
     assert report.level == 0.05
     assert 0.0 <= report.p_value <= 1.0
     assert report.reject == (report.f_value > report.critical_value)
+    assert report.fit == fit_slr([0.0, 1.0, 2.0, 3.0, 4.0], [2.1, 2.4, 3.3, 3.5, 4.6])
     # cross-check the p-value against the scipy survival function
     assert report.p_value == pytest.approx(
         float(stats.f.sf(report.f_value, 1, 3)), abs=1e-10
@@ -187,6 +188,12 @@ def test_f_test_size_quick():
         ys = 2.0 + rng.normal(0.0, 0.1, 12)
         rejections += f_test(zs, ys).reject
     assert 0.01 < rejections / reps < 0.10
+
+
+@pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+def test_fit_local_linear_rejects_non_finite_bandwidth(bandwidth):
+    with pytest.raises(ValidationError, match="finite"):
+        fit_local_linear([0.0, 0.5, 1.0], [1.0, 2.0, 3.0], bandwidth, 0.5)
 
 
 def _local_linear_oracle(zs, ys, bandwidth, query):
