@@ -253,10 +253,8 @@ def _cmd_analyze(args):
         f"labeled: {report.labeled_count} position: {report.position}"
     )
     print(f"sparsity: {report.sparsity!r}")
-    print(
-        f"fit: intercept={report.fit.intercept!r} slope={report.fit.slope!r}"
-    )
     t = report.test
+    print(f"fit: intercept={t.fit.intercept!r} slope={t.fit.slope!r}")
     print(
         f"F({t.df[0]},{t.df[1]})={t.f_value!r} critical={t.critical_value!r} "
         f"p={t.p_value!r} reject={str(t.reject).lower()} level={t.level:g}"

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import re
 import typing
 from dataclasses import dataclass
 
@@ -118,7 +119,101 @@ def load_weighted_edge_list(path, node_count=None):
     malformed rows, and ids outside [0, node_count) are errors; the reported
     line numbers count the header as line 1. When node_count is None it is
     inferred as max id + 1.
+
+    A plain file is read in one vectorized pass; any other file, and every
+    file with an error, goes through the row parser, which alone defines
+    what is accepted and what each error says.
     """
+    parsed = _parse_plain_edge_list(path, node_count)
+    if parsed is None:
+        return _parse_edge_list_rows(path, node_count)
+    return _edge_list_graph(path, *parsed)
+
+
+# A plain edge list is the exact header, then rows of two ids and a weight,
+# each row ending in LF. The ids are ASCII digits; the weight is ASCII digits
+# with at most one '.' and an optional leading '-'.
+_PLAIN_HEADER = b"src,dst,weight\n"
+_NEGATIVE_ZERO_WEIGHT = re.compile(rb",-[.0]*\n")
+_POWERS_OF_TEN = 10.0 ** np.arange(23)  # each exact in float64
+# Ids below this keep the arc keys src * _PLAIN_ID_BOUND + dst within int64.
+_PLAIN_ID_BOUND = 2**31
+
+
+def _parse_plain_edge_list(path, node_count):
+    """(node_count, edges, dropped) of a plain, valid edge list, else None.
+
+    Every token is read as an integer, with the weights' '.' deleted. A
+    weight is then its digits m over 10**k, k the digits after its '.'. For
+    |m| < 2**53 and k <= 22 both are exact in float64, so the one rounding
+    of the division gives float()'s correctly rounded value (the fast path of
+    Clinger 1990, "How to read floating point numbers accurately"). Whatever
+    this pass cannot read exactly so, or finds invalid, it leaves to the rows.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(_PLAIN_HEADER):
+        return None
+    body = data[len(_PLAIN_HEADER):]
+    rows = body.count(b"\n")
+    # With its digits deleted, every row must read ",,\n", ",,-\n", ",,.\n" or
+    # ",,-.\n": ids are bare digits, and a weight holds at most one '-' and
+    # one '.'. fromstring refuses a '-' that does not open its token.
+    frame = body.translate(None, b"0123456789")
+    if frame.replace(b",,-", b",,").replace(b".\n", b"\n") != b",,\n" * rows:
+        return None
+    tokens = body.replace(b".", b"").replace(b"\n", b",")
+    try:
+        ints = np.fromstring(tokens, np.int64, sep=",")
+    except ValueError:  # an empty token, or a '-' inside one
+        return None
+    if ints.size != 3 * rows:  # a read that stopped short of the end
+        return None
+    ints = ints.reshape(rows, 3)
+    chars = np.frombuffer(body, np.uint8)
+    row_ends = np.flatnonzero(chars == ord("\n"))
+    dots = np.flatnonzero(chars == ord("."))
+    dot_rows = np.searchsorted(row_ends, dots)
+    scale = np.zeros(rows, np.intp)
+    scale[dot_rows] = row_ends[dot_rows] - dots - 1
+    mantissas = ints[:, 2]
+    if rows and not (
+        scale.max() <= 22
+        and -(2**53) < mantissas.min()
+        and mantissas.max() < 2**53
+        and ints[:, :2].max() < _PLAIN_ID_BOUND  # int64 overflow reads as 2**63 - 1
+    ):
+        return None
+    # A zero mantissa cannot carry the sign of "-0" (-0.0), and a weight of "-"
+    # or "-." reads as 0 where float() refuses it.
+    if not mantissas.all() and _NEGATIVE_ZERO_WEIGHT.search(body):
+        return None
+    edges = ints.astype(float)
+    edges[:, 2] /= _POWERS_OF_TEN[scale]
+    kept = ints[:, 0] != ints[:, 1]
+    dropped = rows - int(np.count_nonzero(kept))
+    if dropped:
+        ints, edges = ints[kept], edges[kept]
+    arcs = ints[:, 0] * _PLAIN_ID_BOUND + ints[:, 1]
+    arcs.sort()
+    if (arcs[1:] == arcs[:-1]).any():  # a duplicate arc
+        return None
+    max_id = int(ints[:, :2].max()) if len(ints) else -1
+    if node_count is None:
+        node_count = max_id + 1
+    elif max_id >= node_count:
+        return None
+    return node_count, edges, dropped
+
+
+def _edge_list_graph(path, node_count, edges, dropped):
+    if dropped:
+        logger.info("%s: dropped %d self-loop row(s)", path, dropped)
+    return WeightedDigraph(int(node_count), edges)
+
+
+def _parse_edge_list_rows(path, node_count):
+    """The row-by-row parser of load_weighted_edge_list, for any file."""
     values = []
     seen = set()
     max_id = -1
@@ -157,9 +252,7 @@ def load_weighted_edge_list(path, node_count=None):
         raise ValidationError(
             f"{path}: node id {max_id} exceeds node_count {node_count}"
         )
-    if dropped:
-        logger.info("%s: dropped %d self-loop row(s)", path, dropped)
-    return WeightedDigraph(int(node_count), np.array(values, dtype=float))
+    return _edge_list_graph(path, node_count, np.array(values, dtype=float), dropped)
 
 
 def nonzero_weight_magnitudes(graph):

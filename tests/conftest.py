@@ -1,10 +1,11 @@
-"""Shared fixtures: synthetic weighted-digraph datasets on disk, BLAS threads."""
+"""Shared fixtures: synthetic weighted-digraph datasets on disk, edge-list texts, BLAS threads."""
 
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from netmanifold import blas, sample_collection
 
@@ -61,6 +62,52 @@ def build_weighted_dataset(
         )
         fh.write("\n")
     return manifest_path, ts
+
+
+# Edge-list texts for hypothesis: plain rows (ASCII-digit ids, decimal weights,
+# LF ends) and the perturbations that the plain pass of load_weighted_edge_list
+# must leave to its row parser.
+_PLAIN_WEIGHTS = st.one_of(
+    st.floats(-1.0, 1.0).map(lambda w: repr(round(w, 4))),
+    st.integers(-(10**15), 10**15).map(str),
+    st.sampled_from(["0", "0.0", "5.", ".5", "-.5", "-0.5", "0.000001", "123456789.012345"]),
+)
+_PLAIN_ROWS = st.tuples(st.integers(0, 19), st.integers(0, 19), _PLAIN_WEIGHTS).map(
+    lambda row: "{},{},{}".format(*row)
+)
+_ODD_IDS = st.sampled_from([
+    str(2**31), str(2**53), str(2**53 + 1), "99999999999999999999", "007",
+    " 1 ", "+1", "-0", "-1", "1_0", "1.0", "-", "",
+])
+_ODD_WEIGHTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1.0, 1.0).map(repr),  # mostly 16 or 17 digits, no exponent
+    st.sampled_from([
+        "-0", "-0.0", "-.0", "5e-324", "-2.225e-308", "1e-05", "0.0000000000000000000001", "0.00000000000000000000001",
+        "9007199254740993", "99999999999999999999", "-9223372036854775808",
+        "1_0.5", "inf", "-inf", "1e500", "nan", "-", ".", "-.", "1.2.3", "1-2", "--1", " 0.5 ",
+    ]),
+)
+_ODD_ROWS = st.one_of(
+    st.tuples(_ODD_IDS, st.integers(0, 9).map(str), _PLAIN_WEIGHTS).map(",".join),
+    st.tuples(st.integers(0, 9).map(str), _ODD_IDS, _PLAIN_WEIGHTS).map(",".join),
+    st.tuples(st.integers(0, 9), st.integers(0, 9), _ODD_WEIGHTS).map(
+        lambda row: "{},{},{}".format(*row)
+    ),
+    st.sampled_from(["", "0,1", "0,1,1.0,2", '"0",1,1.0']),
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Plain rows, at times with one odd row, header, line end or final newline."""
+    rows = draw(st.lists(_PLAIN_ROWS, max_size=12))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(_ODD_ROWS))
+    header = draw(st.sampled_from(["src,dst,weight"] * 6 + [" src , dst , weight"]))
+    end = draw(st.sampled_from(["\n"] * 6 + ["\r\n"]))
+    final = draw(st.sampled_from([end] * 6 + [""]))
+    return header + "".join(end + row for row in rows) + final
 
 
 @pytest.fixture(scope="session")

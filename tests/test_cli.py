@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import edge_list_texts
 from netmanifold import experiment_config_to_json
 from netmanifold.cli import main
 from netmanifold.io import read_csv_rows
@@ -583,5 +584,31 @@ def test_cli_bad_radius_or_bandwidth_exits_2_under_fuzz(
         code, output = _exit_code(argv)
         assert code == 2, (argv, output)
         assert output.startswith("error:") and "finite and positive" in output
+
+    run()
+
+
+def test_cli_exit_codes_under_fuzzed_edge_lists(tmp_path_factory):
+    """Any edge-list contents end analyze and mase in exit 0, 2 or 3, never a traceback."""
+    root = tmp_path_factory.mktemp("content")
+    manifest_path = str(root / "manifest.json")
+    out = str(root / "out")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(edge_list_texts(), min_size=2, max_size=3))
+    def run(texts):
+        for k, text in enumerate(texts):
+            (root / f"g{k}.csv").write_bytes(text.encode("utf-8"))
+        series = [{"graphs": [f"g{k}.csv"], "response": float(k)} for k in range(len(texts))]
+        with open(manifest_path, "w") as fh:
+            json.dump({"format_version": 1, "node_count": 20, "series": series}, fh)
+        for argv in (
+            ["analyze", "--manifest", manifest_path, "--position", "1", "--lambda", "8.0",
+             "--d", "1", "--out", out],
+            ["mase", "--manifest", manifest_path, "--d", "1", "--out", out + ".csv"],
+        ):
+            code, output = _exit_code(argv)
+            assert code in (0, 2, 3), (argv, texts, output)
+            assert "Traceback" not in output
 
     run()

@@ -1,12 +1,15 @@
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import edge_list_texts
+from netmanifold import io as nm_io
 from netmanifold import (
     DegenerateInputError,
     ValidationError,
@@ -83,6 +86,104 @@ def test_edge_list_errors_name_lines(tmp_path):
     short_row = _write(tmp_path / "g.csv", "src,dst,weight\n0,1\n")
     with pytest.raises(ValidationError, match="expected 3 fields"):
         load_weighted_edge_list(short_row)
+
+
+_EDGE_LIST_TOKEN_RULES = {
+    # ids are whatever int() reads, weights whatever float() reads
+    "spaced id": ("src,dst,weight\n 1 ,2,1.5\n", [[1, 2, 1.5]]),
+    "plus id": ("src,dst,weight\n+1,2,1.5\n", [[1, 2, 1.5]]),
+    "underscore id": ("src,dst,weight\n1_0,2,1.5\n", [[10, 2, 1.5]]),
+    "arabic-indic id": ("src,dst,weight\n١,2,1.5\n", [[1, 2, 1.5]]),
+    "minus zero id": ("src,dst,weight\n-0,2,1.5\n", [[0, 2, 1.5]]),
+    "quoted id": ('src,dst,weight\n"0",2,1.5\n', [[0, 2, 1.5]]),
+    "underscore weight": ("src,dst,weight\n0,2,1_0.5\n", [[0, 2, 10.5]]),
+    "spaced header": (" src , dst , weight\n0,2,1.5\n", [[0, 2, 1.5]]),
+    "crlf": ("src,dst,weight\r\n0,2,1.5\r\n", [[0, 2, 1.5]]),
+    "cr": ("src,dst,weight\r0,2,1.5\r", [[0, 2, 1.5]]),
+    "no final newline": ("src,dst,weight\n0,2,1.5", [[0, 2, 1.5]]),
+    "decimal id": ("src,dst,weight\n1.0,2,1.5\n", "invalid literal for int()"),
+    "overflowing weight": ("src,dst,weight\n0,2,1e500\n", "weight not finite"),
+    "blank line": ("src,dst,weight\n0,2,1.5\n\n0,1,1.0\n", "line 3: expected 3 fields"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, expected", _EDGE_LIST_TOKEN_RULES.values(), ids=_EDGE_LIST_TOKEN_RULES
+)
+def test_edge_list_token_rules(tmp_path, text, expected):
+    path = tmp_path / "g.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError, match=re.escape(expected)):
+            load_weighted_edge_list(path)
+    else:
+        assert load_weighted_edge_list(path).edges.tolist() == expected
+
+
+def _benchmark_shaped_edge_list(rng, n=40, self_loops=3):
+    """Text of a random arc list like the benchmark's: 4-decimal signed weights."""
+    src, dst = np.triu_indices(n, 1)
+    keep = rng.random(src.size) < 0.3
+    src, dst = src[keep], dst[keep]
+    flip = rng.random(src.size) < 0.5
+    src, dst = np.where(flip, dst, src), np.where(flip, src, dst)
+    loops = rng.integers(0, n, self_loops)
+    src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
+    weights = np.round(rng.uniform(-1.0, 1.0, src.size), 4)
+    rows = [f"{s},{d},{w!r}" for s, d, w in zip(src.tolist(), dst.tolist(), weights.tolist())]
+    return "src,dst,weight\n" + "".join(row + "\n" for row in rows)
+
+
+def test_plain_edge_lists_skip_the_row_parser(tmp_path, monkeypatch, caplog):
+    """A plain file never reaches csv.reader; CRLF and duplicates still do."""
+    plain = _write(tmp_path / "plain.csv", _benchmark_shaped_edge_list(np.random.default_rng(5)))
+    expected = nm_io._parse_edge_list_rows(plain, 40)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("row parser reached")
+
+    monkeypatch.setattr(nm_io.csv, "reader", no_rows)
+    with caplog.at_level(logging.INFO, logger="netmanifold.io"):
+        graph = load_weighted_edge_list(plain, 40)
+    assert graph.edges.tobytes() == expected.edges.tobytes()
+    assert "dropped 3 self-loop row(s)" in caplog.text
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(b"src,dst,weight\r\n0,1,1.0\r\n")
+    duplicate = _write(tmp_path / "dup.csv", "src,dst,weight\n0,1,1.0\n0,1,2.0\n")
+    for path in (crlf, duplicate):
+        with pytest.raises(AssertionError, match="row parser reached"):
+            load_weighted_edge_list(path)
+
+
+def _parse_outcome(parse, path, node_count, caplog):
+    caplog.clear()
+    try:
+        graph = parse(path, node_count)
+    except ValidationError as exc:
+        return "error", str(exc), caplog.text
+    return graph.node_count, graph.edges.shape, graph.edges.tobytes(), caplog.text
+
+
+def test_plain_pass_matches_row_parser(tmp_path, caplog):
+    """Accept or reject, node_count, edge bytes, error text and log line agree."""
+    path = str(tmp_path / "g.csv")
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_texts(), st.one_of(st.none(), st.integers(1, 24)))
+    @example("src,dst,weight\n0,1,-0.0\n", None)
+    @example("src,dst,weight\n0,1,-\n", None)
+    @example("src,dst,weight\n0,1,0.9452706955539223\n", None)  # mantissa above 2**53
+    @example("src,dst,weight\n0,1,-0.9452706955539223\n", None)
+    @example("src,dst,weight\n0,1,0.00000000000000000000001\n", None)  # 23 decimals
+    def run(text, node_count):
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        with caplog.at_level(logging.INFO, logger="netmanifold.io"):
+            got = _parse_outcome(load_weighted_edge_list, path, node_count, caplog)
+            want = _parse_outcome(nm_io._parse_edge_list_rows, path, node_count, caplog)
+        assert got == want, text
+
+    run()
 
 
 def _cycle_graph(weights):
