@@ -5,7 +5,8 @@ replicate worker threads multiply with BLAS threads. numpy and scipy each
 bundle their own OpenBLAS (numpy's exports ``scipy_openblas_*64_``, scipy's
 ``scipy_openblas_*``), and a pin must hold both. The helpers reach the copies
 already mapped into the process through ctypes: they load no library, and
-where no OpenBLAS is mapped they do nothing.
+where no OpenBLAS is mapped they do nothing. The same handles give eigen.py
+its LAPACK routines (lapack64).
 """
 
 import contextlib
@@ -20,8 +21,8 @@ _SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads")
 
 
 @functools.cache
-def _openblas():
-    """(get, set) thread-count functions of every mapped OpenBLAS, in path order."""
+def _mapped():
+    """ctypes handles of every OpenBLAS mapped into the process, in path order."""
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
             paths = {
@@ -34,9 +35,17 @@ def _openblas():
     libs = []
     for path in sorted(paths):
         try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY))
         except OSError:
             continue
+    return tuple(libs)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of every mapped OpenBLAS, in path order."""
+    libs = []
+    for lib in _mapped():
         for symbol in _SYMBOLS:
             get = getattr(lib, symbol.format("get"), None)
             put = getattr(lib, symbol.format("set"), None)
@@ -46,6 +55,26 @@ def _openblas():
                 libs.append((get, put))
                 break
     return tuple(libs)
+
+
+@functools.cache
+def lapack64(name, pointers, strings):
+    """LAPACK routine `name` of numpy's OpenBLAS, or None where it is not mapped.
+
+    numpy's copy exports the ILP64 interface as ``scipy_<name>_64_``: every
+    integer is 64-bit. The ctypes function takes `pointers` addresses, then
+    the Fortran hidden lengths of its `strings` character arguments, and
+    releases the GIL while it runs.
+    """
+    for lib in _mapped():
+        try:
+            func = lib[f"scipy_{name}_64_"]
+        except AttributeError:
+            continue
+        func.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * strings
+        func.restype = None
+        return func
+    return None
 
 
 def thread_count():

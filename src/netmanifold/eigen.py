@@ -1,20 +1,34 @@
 """Every dense factorization: MASE's bases and joint SVD, classical scaling.
 
-Full and partial eigensolves and the SVD run on one BLAS thread (their bits
-vary with the thread count); canonical_signs fixes every returned sign.
+top_eigenpairs takes one of three routes, by matrix size and order: a full
+eigh below PARTIAL_MIN_N rows; from there up to DENSE_MAX_N rows, and for
+every larger signed solve, the partial solve (one tridiagonalization,
+bisection and inverse iteration from numpy's OpenBLAS LAPACK, called through
+ctypes, so replicate threads solve side by side); above DENSE_MAX_N by
+modulus, warm-started block iteration, which hands over to the partial solve
+when it stalls. Full and partial eigensolves and the SVD run on one BLAS
+thread (their bits vary with the thread count); canonical_signs fixes every
+returned sign.
 """
 
+import functools
 import math
 import warnings
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import blas
 from .errors import ValidationError
 
-# Crossover node count: up to it a full dense eigh is the cheaper route (and
-# the only one the power schedule, n <= 92, ever takes).
+# Crossover node counts. Below PARTIAL_MIN_N a full eigh is the cheaper solve:
+# the partial one spends some 50 us per call in Python and ctypes, holding the
+# GIL, so two pool threads share it badly at small n (top 2 by modulus of
+# sampled graphs, one BLAS thread each: 0.30 against 0.20 ms per solve at
+# n=56, 0.31 against 0.32 at n=64 and 0.43 against 0.50 at n=80 in a 2-thread
+# pool; on one thread it wins from about n=48). Up to DENSE_MAX_N the partial
+# solve of the whole matrix beats block iteration, which needs only products
+# A @ Q.
+PARTIAL_MIN_N = 64
 DENSE_MAX_N = 200
 
 _TIE_RTOL = 1e-10
@@ -83,51 +97,100 @@ def _dense_eigenpairs(a, k, signed=False):
     return values, eigvecs[:, order[:k]]
 
 
+# Pointer arguments and hidden string lengths of each LAPACK routine of the
+# partial solve.
+_ROUTINES = {"dsytrd": (10, 1), "dstebz": (18, 2), "dstein": (13, 0), "dormtr": (13, 3)}
+
+
+@functools.cache
+def _lapack():
+    """dsytrd, dstebz, dstein and dormtr through ctypes, or None without them."""
+    routines = tuple(blas.lapack64(name, *arity) for name, arity in _ROUTINES.items())
+    return None if None in routines else routines
+
+
+# Bisection to full accuracy, the tolerance LAPACK advises ahead of dstein.
+_ABSTOL = 2 * np.finfo(float).tiny
+
+
+def _carve(**sizes):
+    """Named arrays of 8-byte words in one new uninitialized buffer, and their
+    addresses: Fortran takes every argument by address, scalars too, and one
+    .ctypes lookup costs microseconds."""
+    words = np.empty(sum(sizes.values()))
+    base, start, views, addresses = words.ctypes.data, 0, {}, {}
+    for name, size in sizes.items():
+        views[name], addresses[name] = words[start : start + size], base + 8 * start
+        start += size
+    return views, addresses
+
+
 def _partial_eigenpairs(a, k, signed=False):
     """The k+1 largest eigenvalues (see _descending) and the top-k eigenvectors.
 
-    One tridiagonalization (dsytrd, blocked through its workspace query),
-    bisection (dstebz) for the k+1 largest signed eigenvalues, and for the
-    modulus order also the k+1 smallest, among which the k+1 largest moduli
-    lie; inverse iteration (dstein) for the top-k vectors, and the reflectors
-    applied back (dormqr). Should dstebz or dstein fail, eigh answers.
+    One tridiagonalization (dsytrd), bisection (dstebz) for the k+1 largest
+    signed eigenvalues, and for the modulus order also the k+1 smallest, among
+    which the k+1 largest moduli lie; inverse iteration (dstein) for the top-k
+    vectors, and the reflectors applied back (dormtr). The routines are
+    numpy's OpenBLAS LAPACK, called through ctypes, so other threads run
+    meanwhile. Should dstebz or dstein fail, or the routines be missing, eigh
+    answers.
     """
+    routines = _lapack()
+    if routines is None:
+        return _dense_eigenpairs(a, k, signed)
+    dsytrd, dstebz, dstein, dormtr = routines
     n = a.shape[0]
-    m = min(k + 1, n)
+    m, top_k = min(k + 1, n), min(k, n)
     bounds = [(n - m + 1, n)]
     if not signed:
         bounds = [(1, n)] if 2 * m >= n else [(1, m)] + bounds
-    # bisection to full accuracy, the tolerance LAPACK advises ahead of dstein
-    tol = 2 * np.finfo(float).tiny
+    # Blocked dsytrd and dormtr take 64 words per row plus a 65 x 64 block,
+    # dstebz and dstein at most 5n. w and iblock hold one bisection per n
+    # words, then the eigenvalues handed to dstein.
+    lwork = 64 * n + 65 * 64
+    x, at = _carve(
+        a=n * n, d=n, e=n, tau=n, w=2 * n, iblock=2 * n, isplit=n, z=top_k * n,
+        work=lwork, iwork=3 * n, ifail=top_k, reals=2, ints=8,
+    )
+    ints, iblock = x["ints"].view(np.int64), x["iblock"].view(np.int64)
+    ints[:3] = n, lwork, top_k
+    n_, lwork_, k_, il, iu, m_, nsplit, info = (at["ints"] + 8 * j for j in range(8))
+    index_range, found, status = ints[3:5], ints[5:6], ints[7:8]
+    vl, abstol = at["reals"], at["reals"] + 8
+    x["reals"][:] = 0.0, _ABSTOL
+    # Fortran reads the C-ordered matrix as its transpose, whose upper triangle
+    # is the lower one eigh reads; dsytrd overwrites it with its reflectors.
+    np.copyto(x["a"].reshape(n, n), a)
+    rows = []
     with blas.single_thread():
-        lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
-        reflectors, diag, off, tau, _ = lapack.dsytrd(a, lower=1, lwork=lwork)
-        found = [
-            lapack.dstebz(diag, off, 2, 0.0, 0.0, lo, hi, tol, b"B") for lo, hi in bounds
-        ]
-        if any(f[-1] for f in found):
-            return _dense_eigenpairs(a, k, signed)
-        isplit = found[0][3]
-        eigvals = np.concatenate([f[1][: f[0]] for f in found])
-        blocks = np.concatenate([f[2][: f[0]] for f in found])
-        ascending = np.argsort(eigvals, kind="stable")
+        dsytrd(b"U", n_, at["a"], n_, at["d"], at["e"], at["tau"], at["work"], lwork_, info, 1)
+        for j, bound in enumerate(bounds):
+            index_range[:] = bound
+            dstebz(b"I", b"B", n_, vl, vl, il, iu, abstol, at["d"], at["e"], m_, nsplit,
+                   at["w"] + 8 * n * j, at["iblock"] + 8 * n * j, at["isplit"], at["work"],
+                   at["iwork"], info, 1, 1)
+            if status[0]:
+                return _dense_eigenpairs(a, k, signed)
+            rows.append(slice(n * j, n * j + int(found[0])))
+        eigvals = np.concatenate([x["w"][r] for r in rows])
+        blocks = np.concatenate([iblock[r] for r in rows])
+        ascending = eigvals.argsort(kind="stable")
         eigvals, blocks = eigvals[ascending], blocks[ascending]
         values, order = _descending(eigvals, signed)
         # dstein takes its eigenvalues grouped by split-off block, ascending
         # within each block
         top = order[:k]
         grouping = np.lexsort((eigvals[top], blocks[top]))
-        block_of = np.zeros(n, dtype=blocks.dtype)
-        block_of[:k] = blocks[top[grouping]]
-        vectors, info = lapack.dstein(
-            diag, off, eigvals[top[grouping]], block_of, isplit
-        )
-        if info:
+        x["w"][:top_k], iblock[:top_k] = eigvals[top[grouping]], blocks[top[grouping]]
+        dstein(n_, at["d"], at["e"], k_, at["w"], at["iblock"], at["isplit"], at["z"], n_,
+               at["work"], at["iwork"], at["ifail"], info)
+        if status[0]:
             return _dense_eigenpairs(a, k, signed)
-        vectors[1:], _, _ = lapack.dormqr(
-            b"L", b"N", reflectors[1:, :-1], tau, vectors[1:], 64 * k
-        )
-    return values[:m], vectors[:, np.argsort(grouping)]
+        dormtr(b"L", b"U", b"N", n_, k_, at["a"], n_, at["tau"], at["z"], n_, at["work"],
+               lwork_, info, 1, 1, 1)
+    # column j of the Fortran (n, k) array z is row j here
+    return values[:m], x["z"].reshape(top_k, n)[grouping.argsort()].T
 
 
 def _stalled(norms, target):
@@ -185,9 +248,9 @@ def _subspace_iteration(a, d, start):
 def top_eigenpairs(a, k, signed=False, start=None):
     """Top-k eigenpairs of an unchecked symmetric float matrix, by modulus or signed.
 
-    Up to DENSE_MAX_N rows one dense eigh. Above it, by modulus, block
-    iteration on A @ A from start or a fixed Philox (n, k+2) block; signed,
-    the partial solve, since A @ A ranks by modulus only.
+    Below PARTIAL_MIN_N rows one dense eigh; signed, or up to DENSE_MAX_N
+    rows, the partial solve; above it, by modulus, block iteration on A @ A
+    from start or a fixed Philox (n, k+2) block (A @ A ranks by modulus only).
 
     Returns (values, vectors, block): at least min(k+1, n) eigenvalues in
     descending order, moduli or signed; the (n, k) eigenvectors under
@@ -197,9 +260,9 @@ def top_eigenpairs(a, k, signed=False, start=None):
     """
     n = a.shape[0]
     block = None
-    if n <= DENSE_MAX_N:
+    if n < PARTIAL_MIN_N:
         values, vectors = _dense_eigenpairs(a, k, signed)
-    elif signed:
+    elif signed or n <= DENSE_MAX_N:
         values, vectors = _partial_eigenpairs(a, k, signed)
     else:
         if start is None:

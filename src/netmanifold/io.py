@@ -261,6 +261,28 @@ def nonzero_weight_magnitudes(graph):
     return magnitudes[magnitudes != 0.0]
 
 
+def linear_percentile(values, percentile):
+    """np.percentile(values, percentile) of a non-empty 1-D float array, bit
+    for bit, with percentile in [0, 100].
+
+    numpy's default linear rule: the virtual index (n-1)*(percentile/100)
+    between the order statistics a and b at its floor and ceiling, fraction t,
+    gives a + (b-a)*t, or b - (b-a)*(1-t) for t >= 0.5; at or past the last
+    index both are the maximum, and t is that index plus one. Only a and b are
+    partitioned into place, where np.percentile costs ten times more.
+    """
+    last = values.size - 1
+    virtual = last * (percentile / 100)
+    if virtual >= last:
+        low = high = last
+        t = virtual + 1
+    else:
+        low = math.floor(virtual)
+        high, t = low + 1, virtual - low
+    a, b = np.partition(values, (low, high))[[low, high]]
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def censor_binarize(graph, percentile=25.0, rule="max", threshold=None):
     """Censor a weighted digraph into a hollow symmetric binary matrix.
 
@@ -285,7 +307,7 @@ def censor_binarize(graph, percentile=25.0, rule="max", threshold=None):
         magnitudes = nonzero_weight_magnitudes(graph)
         if not magnitudes.size:
             raise DegenerateInputError("every edge weight is zero; nothing to censor")
-        threshold = float(np.percentile(magnitudes, percentile))
+        threshold = linear_percentile(magnitudes, percentile)
     weights = np.abs(graph.dense_weights())
     count = arcs + arcs.T
     merged = np.maximum(weights, weights.T) if rule == "max" else weights + weights.T

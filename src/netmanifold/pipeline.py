@@ -659,9 +659,9 @@ def collection_from_manifest(
         pooled = np.concatenate([io.nonzero_weight_magnitudes(g) for g in graphs])
         if not pooled.size:
             raise ValidationError("no nonzero weights anywhere in the collection")
-        if not 0.0 <= percentile <= 100.0:  # np.percentile raises ValueError
+        if not 0.0 <= percentile <= 100.0:
             raise ValidationError("percentile must lie in [0, 100]")
-        threshold = float(np.percentile(pooled, percentile))
+        threshold = io.linear_percentile(pooled, percentile)
     adjacency = tuple(
         io.censor_binarize(g, percentile, rule=symmetrize, threshold=threshold)
         for g in graphs

@@ -1,8 +1,12 @@
 """The eigensolver module: signed order, ties, input checks, and its monopoly
 on dense factorizations."""
 
+import os
 import pathlib
 import re
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,8 +14,10 @@ from scipy.linalg import block_diag, lapack
 
 from netmanifold import (
     ValidationError,
+    blas,
     cmds_embed,
     localization_graph,
+    sample_collection,
     shortest_path_matrix,
     smacof_minimize,
 )
@@ -116,14 +122,86 @@ def test_eigen_entry_points_reject_bad_input(solve, args):
 _FACTORIZATIONS = re.compile(
     r"linalg\.(eig\w*|svd)\b|\blapack\.|\bblas\.single_thread\b"
 )
+_SCIPY_LAPACK = re.compile(r"scipy\.linalg\.lapack|from\s+scipy\.linalg\s+import[^\n]*\blapack\b")
+_LIBRARY_LOADS = re.compile(r"\b(CDLL|PyDLL|cdll|LoadLibrary|dlopen)\b")
 
 
 def test_dense_factorizations_live_in_the_eigen_module():
     """Outside eigen.py no module calls an eigensolver, an SVD or LAPACK, or pins
-    BLAS, except the replicate pool's pin in pipeline.py."""
-    found = []
+    BLAS, except the replicate pool's pin in pipeline.py. No module imports
+    scipy's LAPACK wrappers, and only blas.py opens a shared library."""
+    found, lapack_imports, loaders = [], [], set()
     for path in sorted(pathlib.Path(eigen.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
         if path.name != "eigen.py":
-            text = path.read_text(encoding="utf-8")
             found += [(path.name, m.group(0)) for m in _FACTORIZATIONS.finditer(text)]
+        lapack_imports += [(path.name, m.group(0)) for m in _SCIPY_LAPACK.finditer(text)]
+        loaders |= {path.name for _ in _LIBRARY_LOADS.finditer(text)}
     assert found == [("pipeline.py", "blas.single_thread")]
+    assert lapack_imports == []
+    assert loaders == {"blas.py"}
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["modulus", "signed"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partial_solve_at_one_to_three_rows(monkeypatch, n, signed):
+    """The partial solve answers at n = 1, 2 and 3, directly and through
+    top_eigenpairs with its small-n crossover moved to 1: the k+1 eigenvalues
+    to 1e-12 relative to |lambda|max and the top-k projector to 1e-12."""
+    x = np.random.default_rng(n).standard_normal((n, n))
+    a = x + x.T
+    k = max(n - 1, 1)
+    m = min(k + 1, n)
+    scale = np.abs(np.linalg.eigvalsh(a)).max()
+    dense_values, dense_vectors = eigen._dense_eigenpairs(a, k, signed)
+    values, vectors = eigen._partial_eigenpairs(a, k, signed)
+    assert n < eigen.PARTIAL_MIN_N
+    expected = eigen.top_eigenpairs(a, k, signed)
+    monkeypatch.setattr(eigen, "PARTIAL_MIN_N", 1)
+    routed = eigen.top_eigenpairs(a, k, signed)
+    assert values.shape == (m,) and vectors.shape == (n, k)
+    for got, basis in [(values, vectors), routed[:2]]:
+        assert np.abs(got[:m] - dense_values[:m]).max() <= 1e-12 * scale
+        gap = np.abs(basis @ basis.T - dense_vectors @ dense_vectors.T).max()
+        assert gap <= 1e-12
+    assert np.abs(routed[1] - expected[1]).max() <= 1e-12
+
+
+def _usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_usable_cores() < 2, reason="needs two usable cores")
+def test_partial_solves_run_side_by_side_on_two_threads():
+    """The partial solve's LAPACK calls release the GIL: under one pin, two pool
+    threads of N solves at n=200 finish in under 0.8 of the time one thread
+    takes for 2N (best of five each; GIL-bound calls take about as long)."""
+    a = np.asarray(sample_collection([0.5], 200, "curve-A", 3).graphs[0], dtype=float)
+    count = 20
+    barrier = threading.Barrier(2, timeout=60)
+
+    def solves(times, meet=False):
+        if meet:  # one task per pool thread
+            barrier.wait()
+        for _ in range(times):
+            eigen._partial_eigenpairs(a, 2)
+
+    def seconds(run):
+        start = time.perf_counter()
+        run()
+        return time.perf_counter() - start
+
+    with blas.single_thread(), ThreadPoolExecutor(2) as pool:
+        # each thread's first BLAS calls set up its buffers
+        list(pool.map(solves, [2, 2], [True, True], timeout=60))
+        serial = min(
+            seconds(lambda: pool.submit(solves, 2 * count).result(timeout=60))
+            for _ in range(5)
+        )
+        pooled = min(
+            seconds(lambda: list(pool.map(solves, [count] * 2, [True] * 2, timeout=60)))
+            for _ in range(5)
+        )
+    assert pooled < 0.8 * serial

@@ -203,6 +203,32 @@ def test_censor_hand_percentile():
     assert set(np.unique(adjacency)) <= {0.0, 1.0}
 
 
+_PERCENTILES = st.one_of(
+    st.sampled_from([0.0, 100.0, 25.0, 50.0, 75.0]),
+    st.integers(0, 100).map(float),
+    st.floats(0.0, 100.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=400),
+        st.lists(st.integers(1, 10**4).map(lambda w: w / 1e4), min_size=1, max_size=400),
+        st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=50),
+    ),
+    percentile=_PERCENTILES,
+)
+@example(values=[3.0], percentile=0.0)
+@example(values=[3.0], percentile=100.0)
+@example(values=[1.0, 2.0, 3.0, 4.0], percentile=25.0)
+def test_linear_percentile_matches_numpy_bytes(values, percentile):
+    """The censoring threshold is np.percentile's value to the last bit."""
+    values = np.array(values)
+    expected = np.float64(np.percentile(values, percentile)).tobytes()
+    assert np.float64(nm_io.linear_percentile(values, percentile)).tobytes() == expected
+
+
 def test_censor_reciprocal_arcs_max_rule():
     # (i->j, 5) and (j->i, -1) merge to 5 under max; 5 > 2 keeps the edge
     graph = WeightedDigraph(node_count=2, edges=((0, 1, 5.0), (1, 0, -1.0)))

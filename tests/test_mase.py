@@ -1,3 +1,4 @@
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -192,8 +193,15 @@ def _small(n, seed):
         _small(10, 3),
         _small(4, 4),
         sample_collection([0.25], 300, "curve-A", 5).graphs[0],
+        _bipartite(100, 7),
+        _disconnected(150, 8),
+        sample_collection([0.25], 200, "curve-A", 9).graphs[0],
+        sample_collection([0.6], 64, "curve-B", 10).graphs[0],
     ],
-    ids=["bipartite", "disconnected", "overlap-n10", "overlap-n4", "curve-A-n300"],
+    ids=[
+        "bipartite", "disconnected", "overlap-n10", "overlap-n4", "curve-A-n300",
+        "bipartite-n100", "disconnected-n150", "curve-A-n200", "curve-B-n64",
+    ],
 )
 def test_partial_solve_agrees_with_eigh(a):
     """Agreement bound of the partial tridiagonal solve against np.linalg.eigh.
@@ -216,12 +224,25 @@ def test_partial_solve_agrees_with_eigh(a):
 
 
 def test_partial_solve_hands_over_when_lapack_fails(monkeypatch):
+    """dstein, then dstebz, runs but reports info = 1: eigh answers instead."""
     a = _bipartite(40, 6)
-    monkeypatch.setattr(eigen.lapack, "dstein", lambda *args: (None, 1))
-    moduli, block = eigen._partial_eigenpairs(a, 4)
     dense_moduli, dense_block = eigen._dense_eigenpairs(a, 4)
-    assert np.array_equal(moduli, dense_moduli)
-    assert np.array_equal(block, dense_block)
+    routines = eigen._lapack()
+    # position of each routine in _lapack() and of info among its pointers
+    for position, info_at in [(2, 12), (1, 17)]:
+        calls = []
+
+        def failing(*args, routine=routines[position], info_at=info_at):
+            routine(*args)
+            ctypes.c_int64.from_address(args[info_at]).value = 1
+            calls.append(args)
+
+        patched = routines[:position] + (failing,) + routines[position + 1 :]
+        monkeypatch.setattr(eigen, "_lapack", lambda patched=patched: patched)
+        moduli, block = eigen._partial_eigenpairs(a, 4)
+        assert len(calls) == 1
+        assert np.array_equal(moduli, dense_moduli)
+        assert np.array_equal(block, dense_block)
 
 
 def test_iterative_route_warns_on_tied_boundary():
@@ -251,9 +272,9 @@ def _record_solves(monkeypatch):
         bases.append(basis)
         return values, basis, block
 
-    def counting_partial(a, k):
+    def counting_partial(a, k, signed=False):
         fallbacks.append(k)
-        return partial(a, k)
+        return partial(a, k, signed)
 
     def recording_stalled(norms, target):
         if stalled(norms, target):
@@ -276,11 +297,15 @@ def _record_solves(monkeypatch):
         # lambda_2 ~ 5 sits inside the noise-bulk edge ~ 9: the block iteration
         # cannot separate it, sees so early, and hands over to the partial solve
         (np.full(10, 0.25), 200, 77, 100),
+        # consistency-pool and power collections: every graph takes the
+        # partial solve
+        (np.random.default_rng(1002).uniform(0.25, 1.0, 15), 200, 1002, None),
+        (np.random.default_rng(1003).uniform(0.25, 1.0, 12), 64, 1003, None),
     ],
-    ids=["c2-seed1000", "c2-seed1001", "bulk-edge-n200"],
+    ids=["c2-seed1000", "c2-seed1001", "bulk-edge-n200", "partial-n200", "partial-n64"],
 )
 def test_warm_route_agrees_with_dense_eigh(monkeypatch, ts, n, seed, crossover):
-    """Agreement bound of the warm-started route against dense eigh.
+    """Agreement bound of the warm-started and the partial routes against dense eigh.
 
     Every per-graph top-2 projector matches dense eigh to 1e-8 (max entry);
     the score matrices then agree to 1e-10 relative to the largest score.
@@ -296,7 +321,9 @@ def test_warm_route_agrees_with_dense_eigh(monkeypatch, ts, n, seed, crossover):
         # every fallback left the iteration before its step cap
         assert len(exits) == len(fallbacks)
         assert max(exits) < eigen._MAX_ITER
-    monkeypatch.setattr(eigen, "DENSE_MAX_N", n)
+    elif n <= eigen.DENSE_MAX_N:
+        assert len(fallbacks) == coll.n_graphs
+    monkeypatch.setattr(eigen, "PARTIAL_MIN_N", n + 1)
     bases.clear()
     dense_scores, _ = sparse_mase(coll, 2, sparsity=1.0)
     assert len(warm) == len(bases) == coll.n_graphs

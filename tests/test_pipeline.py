@@ -275,14 +275,43 @@ def test_experiment_thread_determinism_above_dense_crossover():
     assert serial.records == threaded.records
 
 
-def test_experiment_thread_determinism_on_dense_route(two_blas_threads):
+def test_experiment_thread_determinism_on_dense_route(monkeypatch, two_blas_threads):
     """n=150 eigh differs between one and two BLAS threads; the pin hides it."""
+    monkeypatch.setattr(eigen, "PARTIAL_MIN_N", 151)
     config = _tiny_consistency(k_values=(1,), nodes_base=150)
-    assert config.schedule(1).n <= eigen.DENSE_MAX_N
+    assert config.schedule(1).n < eigen.PARTIAL_MIN_N
     serial = run_consistency_experiment(config, threads=1)
     pooled = run_consistency_experiment(config, threads=2)
     assert all(r.valid for r in serial.records)
     assert serial.records == pooled.records
+
+
+def test_experiment_thread_determinism_on_partial_route(
+    monkeypatch, tmp_path, two_blas_threads
+):
+    """Every n=150 graph takes the ctypes partial solve. With both OpenBLAS
+    copies at two threads, serial and pooled runs write the same CSV bytes as
+    a run with both at one thread."""
+    config = _tiny_consistency(k_values=(1,), nodes_base=150)
+    assert eigen.PARTIAL_MIN_N <= config.schedule(1).n <= eigen.DENSE_MAX_N
+    solves, partial = [], eigen._partial_eigenpairs
+
+    def counting_partial(a, k, signed=False):
+        solves.append(k)
+        return partial(a, k, signed)
+
+    monkeypatch.setattr(eigen, "_partial_eigenpairs", counting_partial)
+    runs = []
+    for threads, blas_threads in [(1, 2), (2, 2), (1, 1)]:
+        for _, put in two_blas_threads:
+            put(blas_threads)
+        out = tmp_path / f"threads{threads}-blas{blas_threads}"
+        result = run_consistency_experiment(config, threads=threads, out_dir=str(out))
+        csvs = [(out / name).read_bytes() for name in ("replicates.csv", "summary.csv")]
+        runs.append((result.records, csvs))
+    assert len(solves) == 3 * config.mc_replicates * config.schedule(1).n_graphs
+    assert all(r.valid for r in runs[0][0])
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_experiment_thread_determinism_on_fallback_route(monkeypatch, two_blas_threads):
@@ -294,9 +323,9 @@ def test_experiment_thread_determinism_on_fallback_route(monkeypatch, two_blas_t
     config = _tiny_consistency(k_values=(1,), nodes_base=300)
     fallbacks, partial = [], eigen._partial_eigenpairs
 
-    def counting_partial(a, k):
+    def counting_partial(a, k, signed=False):
         fallbacks.append(k)
-        return partial(a, k)
+        return partial(a, k, signed)
 
     monkeypatch.setattr(eigen, "_partial_eigenpairs", counting_partial)
     serial = run_consistency_experiment(config, threads=1)
