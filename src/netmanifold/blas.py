@@ -1,7 +1,9 @@
 """Hold every loaded OpenBLAS at one thread where thread count changes results.
 
-Dense LAPACK eigensolvers are not bit-stable across BLAS thread counts, and
-replicate worker threads multiply with BLAS threads. numpy and scipy each
+Dense LAPACK eigensolvers, and matrix products from a few hundred rows up, are
+not bit-stable across BLAS thread counts, and worker threads multiply with
+BLAS threads. So per-graph work runs pinned (map_pinned), spread where it pays
+over as many worker threads as BLAS would have used. numpy and scipy each
 bundle their own OpenBLAS (numpy's exports ``scipy_openblas_*64_``, scipy's
 ``scipy_openblas_*``), and a pin must hold both. The helpers reach the copies
 already mapped into the process through ctypes: they load no library, and
@@ -14,6 +16,7 @@ import ctypes
 import functools
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 # Thread-count entry points, "{}" standing for get or set, of numpy's and of
 # scipy's OpenBLAS.
@@ -116,3 +119,28 @@ def single_thread():
                 for (_, put), count in zip(libs, _saved):
                     if count != 1:
                         put(count)
+
+
+def map_pinned(fn, items, spread, scratch):
+    """[fn(item, buffer) for item in items], every call on one BLAS thread.
+
+    With spread, the calls run on as many worker threads as BLAS threads were
+    set before the pin, at most one per item: inside another pin, such as the
+    replicate pool's, that is one. Otherwise they run inline. Either way the
+    results keep the items' order. Each thread makes its buffer once per call,
+    with scratch(), and fn may overwrite it.
+    """
+    items = list(items)
+    workers = min(thread_count() or 1, len(items)) if spread else 1
+    local = threading.local()
+
+    def call(item):
+        if not hasattr(local, "buffer"):
+            local.buffer = scratch()
+        return fn(item, local.buffer)
+
+    with single_thread():
+        if workers < 2:
+            return [call(item) for item in items]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(call, items))

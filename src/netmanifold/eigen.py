@@ -6,9 +6,11 @@ every larger signed solve, the partial solve (one tridiagonalization,
 bisection and inverse iteration from numpy's OpenBLAS LAPACK, called through
 ctypes, so replicate threads solve side by side); above DENSE_MAX_N by
 modulus, warm-started block iteration, which hands over to the partial solve
-when it stalls. Full and partial eigensolves and the SVD run on one BLAS
-thread (their bits vary with the thread count); canonical_signs fixes every
-returned sign.
+when it stalls. Full and partial eigensolves and the SVD pin themselves to
+one BLAS thread (their bits vary with the thread count); the block
+iteration's products are pinned by its caller, MASE's per-graph pass
+(GraphStore.map), which may run one graph per worker thread. canonical_signs
+fixes every returned sign.
 """
 
 import functools

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .errors import ValidationError
 
 # Arclength-parameterized curve: psi(t) = (t/a, t/b, t/b, t/a) with
@@ -23,6 +24,20 @@ CURVE_A_OFFDIAG_SCALE = math.sqrt(2.0) / math.cos(1.0)
 VARIANTS = ("curve-A", "curve-B")
 
 _SEED_LIMIT = 2**64
+
+# Above this node count a collection's graphs are sampled and embedded one per
+# worker thread (blas.map_pinned), at or below it inline; every product runs
+# on one BLAS thread either way. OpenBLAS threads MASE's products A @ Q from
+# n=510 on, and only there does a pinned product lose to it (2 cores, A @ Q
+# with 4 columns: 75 us at n=500 on one or two threads, 239 against 125 us
+# at n=510). So only there does the spread pay: sparse_mase of 15 graphs at
+# n=600 took 141-154 ms spread, 249-288 ms inline, against 150-195 ms with
+# BLAS threading; at n=500, 99-108 ms spread, 91-92 ms inline.
+SPREAD_MIN_N = 500
+
+# The sampler draws whole rows of Philox words, at most this many (512 KB) at
+# a time.
+_CHUNK_DRAWS = 1 << 16
 
 
 def _check_seed(seed):
@@ -99,24 +114,34 @@ def probability_matrix(assignment, block):
     return block[np.ix_(assignment, assignment)]
 
 
-def _sample_upper(levels, rows, seed):
-    """Symmetric hollow bool graph: edge {i, j}, i < j, iff u_ij < levels[rows[i], j].
+def _sample_upper(levels, rows, seed, a, mirror):
+    """Fill the bool (n, n) a with a symmetric hollow graph: edge {i, j}, i < j,
+    iff u_ij < levels[rows[i], j]. mirror is a bool (n, n) scratch buffer.
 
-    One Philox stream per graph fills the strict upper triangle with uniform
-    draws u, row by row. Row i compares its draws with the thresholds
-    levels[rows[i], i+1:], a view, straight into the bool matrix, which is
-    then mirrored.
+    One Philox stream per graph gives the uniform draws u of the strict upper
+    triangle, row by row, as raw 64-bit words r with u = (r >> 11) 2^-53. So
+    u < L exactly when r >> 11 < ceil(L 2^53), an integer test that needs no
+    float draws and stays exact at L = 0 and L = 1. The words come in chunks
+    of whole rows; row i compares its words with the thresholds of
+    levels[rows[i], i+1:] straight into a, which is then mirrored.
     """
     n = levels.shape[1]
-    rng = np.random.Generator(np.random.Philox(_check_seed(seed)))
-    u = rng.random(n * (n - 1) // 2)
-    a = np.zeros((n, n), dtype=bool)
-    off = 0
-    for i in range(n - 1):
-        m = n - 1 - i
-        np.less(u[off : off + m], levels[rows[i], i + 1 :], out=a[i, i + 1 :])
-        off += m
-    a |= a.T
+    bits = np.random.Philox(_check_seed(seed))
+    thresholds = np.ceil(levels * 2.0**53).astype(np.uint64)
+    a.fill(False)
+    step = max(1, _CHUNK_DRAWS // n)
+    for first in range(0, n - 1, step):
+        last = min(first + step, n - 1)
+        # rows first..last-1 hold n-1-first down to n-last draws
+        words = bits.random_raw((2 * n - 1 - first - last) * (last - first) // 2)
+        np.right_shift(words, 11, out=words)
+        off = 0
+        for i in range(first, last):
+            m = n - 1 - i
+            np.less(words[off : off + m], thresholds[rows[i], i + 1 :], out=a[i, i + 1 :])
+            off += m
+    np.copyto(mirror, a.T)
+    a |= mirror
     return a
 
 
@@ -133,7 +158,8 @@ def sample_adjacency(p, seed):
         raise ValidationError("probability matrix must be square")
     if p.min() < 0.0 or p.max() > 1.0:
         raise ValidationError("edge probabilities must lie in [0, 1]")
-    return _sample_upper(p, np.arange(n), seed).astype(float)
+    a, mirror = np.empty((2, n, n), dtype=bool)
+    return _sample_upper(p, np.arange(n), seed, a, mirror).astype(float)
 
 
 @dataclass(frozen=True)
@@ -230,20 +256,29 @@ class GraphStore(Sequence):
             return item
         return np.unpackbits(item, axis=1, count=self.node_count).astype(float)
 
-    def buffered(self):
-        """Iterate over the graphs as float64 (n, n) arrays in one reused buffer.
-
-        Each binary graph is unpacked over the previous one, so a reader must
-        be done with an item before it takes the next. Indexing the store
-        still returns a fresh array. Real-valued graphs come as stored.
-        """
+    def _unpack(self, k, buffer):
+        """Graph k, unpacked into the float64 (n, n) buffer if binary."""
         if not self.binary:
-            yield from self._items
-            return
-        buffer = np.empty((self.node_count, self.node_count))
-        for rows in self._items:
-            np.copyto(buffer, np.unpackbits(rows, axis=1, count=self.node_count))
-            yield buffer
+            return self._items[k]
+        np.copyto(buffer, np.unpackbits(self._items[k], axis=1, count=self.node_count))
+        return buffer
+
+    def map(self, fn, indices=None):
+        """[fn(graph k) for k in indices], by default every graph, in order.
+
+        Each call runs on one BLAS thread, above SPREAD_MIN_N nodes spread over
+        worker threads (blas.map_pinned). Each thread unpacks binary graphs
+        into its own reused float64 buffer, so fn must be done with its graph
+        when it returns; indexing the store still returns a fresh array.
+        Real-valued graphs come as stored.
+        """
+        n = self.node_count
+        return blas.map_pinned(
+            lambda k, buffer: fn(self._unpack(k, buffer)),
+            range(len(self)) if indices is None else indices,
+            n > SPREAD_MIN_N,
+            (lambda: np.empty((n, n))) if self.binary else (lambda: None),
+        )
 
     def edge_count(self):
         """Undirected edges over all graphs, an exact integer popcount.
@@ -310,15 +345,27 @@ def sample_collection(ts, n, variant, base_seed, responses=None):
     Graph k is seeded with base_seed ^ k, so collections are reproducible
     and individual graphs can be re-sampled in isolation. Row i of graph k
     reads its edge probabilities from the block labels, B[z_i, z_j] for
-    j > i, and the sampled bits go to the store packed.
+    j > i, and the sampled bits go to the store packed. Above SPREAD_MIN_N
+    nodes the graphs are sampled one per worker thread, each thread in its
+    own pair of bool buffers.
     """
     base_seed = _check_seed(base_seed)
     assignment = balanced_membership(n, 2)
-    rows = []
-    for k, block in enumerate(_block_sequence(ts, variant)):
-        levels = _check_block(assignment, block)[:, assignment]
-        a = _sample_upper(levels, assignment, base_seed ^ k)
-        rows.append(np.packbits(a, axis=1))
+    levels = [
+        _check_block(assignment, block)[:, assignment]
+        for block in _block_sequence(ts, variant)
+    ]
+
+    def sample(k, buffers):
+        a = _sample_upper(levels[k], assignment, base_seed ^ k, *buffers)
+        return np.packbits(a, axis=1)
+
+    rows = blas.map_pinned(
+        sample,
+        range(len(levels)),
+        n > SPREAD_MIN_N,
+        lambda: np.empty((2, n, n), dtype=bool),
+    )
     return GraphCollection(
         graphs=GraphStore(rows, n, binary=True),
         responses=None if responses is None else tuple(float(y) for y in responses),

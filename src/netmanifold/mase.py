@@ -15,6 +15,7 @@ import numpy as np
 
 from . import eigen
 from .errors import SparsityError, ValidationError
+from .graphs import GraphStore
 from .manifold import point_distances
 
 
@@ -57,25 +58,30 @@ def estimate_sparsity(collection):
 def project_scores(graphs, basis, sparsity):
     """Score matrices (1/rho) V̂ᵀ A^(k) V̂ for one fixed basis.
 
-    The product is symmetrized explicitly; floating point leaves ~1e-11
-    asymmetry at n ~ 1000 otherwise.
+    graphs is a GraphStore, whose graphs are projected by GraphStore.map, or a
+    sequence of float (n, n) arrays. The product is symmetrized explicitly;
+    floating point leaves ~1e-11 asymmetry at n ~ 1000 otherwise.
     """
     if sparsity <= 0.0:
         raise SparsityError("sparsity must be positive to scale scores")
-    out = []
-    for a in graphs:
+    if not isinstance(graphs, GraphStore):
+        graphs = GraphStore(graphs, basis.shape[0], binary=False)
+
+    def score(a):
         m = basis.T @ a @ basis / sparsity
-        out.append((m + m.T) / 2.0)
-    return out
+        return (m + m.T) / 2.0
+
+    return graphs.map(score)
 
 
 def sparse_mase(collection, d, sparsity=None):
     """Estimate score matrices for every graph in the collection.
 
     Every graph is projected onto the joint subspace estimated from all
-    per-graph bases. Two passes stream over the collection's store, each
-    unpacking one graph at a time into one reused float64 buffer: the first
-    computes the per-graph bases, the second (project_scores) the scores.
+    per-graph bases. Two passes of GraphStore.map go over the collection's
+    store, one graph per call on one BLAS thread, spread over worker threads
+    on large graphs: the first computes the per-graph bases, graph 0's alone
+    and then the rest, the second (project_scores) the scores.
 
     Parameters
     ----------
@@ -111,11 +117,13 @@ def sparse_mase(collection, d, sparsity=None):
     # from eigen.top_eigenpairs (None on the dense route) warm-starts every
     # other graph's block iteration. The start depends on the collection
     # alone, not on scheduling.
-    graphs = collection.graphs.buffered()
-    _, first, start = eigen.top_eigenpairs(next(graphs), d)
-    bases = [first] + [eigen.top_eigenpairs(a, d, start=start)[1] for a in graphs]
-    basis = joint_subspace(bases, d)
-    return project_scores(collection.graphs.buffered(), basis, rho), rho
+    graphs = collection.graphs
+    [(_, first, start)] = graphs.map(lambda a: eigen.top_eigenpairs(a, d), [0])
+    rest = graphs.map(
+        lambda a: eigen.top_eigenpairs(a, d, start=start)[1], range(1, len(graphs))
+    )
+    basis = joint_subspace([first, *rest], d)
+    return project_scores(graphs, basis, rho), rho
 
 
 def scaled_score_points(scores, n):

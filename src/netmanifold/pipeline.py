@@ -447,10 +447,13 @@ def _run_experiment(config, kind, threads, out_dir):
         raise ValidationError(f"threads must be >= 1, got {threads}")
     start = time.perf_counter()
     tasks = [(k, j) for k in config.k_values for j in range(config.mc_replicates)]
-    if threads > 1:
+    # A pool of one would pin BLAS for nothing: serial replicates spread their
+    # large graphs over the BLAS threads instead (blas.map_pinned).
+    workers = min(threads, len(tasks))
+    if workers > 1:
         # Replicate threads would multiply with BLAS threads: one BLAS thread
         # per worker, restored once the pool has drained.
-        with blas.single_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
+        with blas.single_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             blas_threads = blas.thread_count()
             records = list(pool.map(lambda t: _replicate(config, *t), tasks))
     else:
@@ -477,7 +480,7 @@ def _run_experiment(config, kind, threads, out_dir):
         len(config.k_values),
         failed,
         elapsed,
-        threads,
+        workers,
         "unknown" if blas_threads is None else blas_threads,
     )
     return ExperimentResult(

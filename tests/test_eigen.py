@@ -1,6 +1,7 @@
 """The eigensolver module: signed order, ties, input checks, and its monopoly
 on dense factorizations."""
 
+import inspect
 import os
 import pathlib
 import re
@@ -124,22 +125,33 @@ _FACTORIZATIONS = re.compile(
 )
 _SCIPY_LAPACK = re.compile(r"scipy\.linalg\.lapack|from\s+scipy\.linalg\s+import[^\n]*\blapack\b")
 _LIBRARY_LOADS = re.compile(r"\b(CDLL|PyDLL|cdll|LoadLibrary|dlopen)\b")
+_THREAD_STARTS = re.compile(
+    r"\b(ThreadPoolExecutor|ProcessPoolExecutor|Thread|Pool)\(|\bmultiprocessing\b"
+)
 
 
 def test_dense_factorizations_live_in_the_eigen_module():
     """Outside eigen.py no module calls an eigensolver, an SVD or LAPACK, or pins
     BLAS, except the replicate pool's pin in pipeline.py. No module imports
-    scipy's LAPACK wrappers, and only blas.py opens a shared library."""
-    found, lapack_imports, loaders = [], [], set()
+    scipy's LAPACK wrappers, and only blas.py opens a shared library. Worker
+    threads come from two pools alone: the replicate pool in pipeline.py and
+    the per-graph one of blas.map_pinned."""
+    found, lapack_imports, loaders, pools = [], [], set(), []
     for path in sorted(pathlib.Path(eigen.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         if path.name != "eigen.py":
             found += [(path.name, m.group(0)) for m in _FACTORIZATIONS.finditer(text)]
         lapack_imports += [(path.name, m.group(0)) for m in _SCIPY_LAPACK.finditer(text)]
         loaders |= {path.name for _ in _LIBRARY_LOADS.finditer(text)}
+        pools += [(path.name, m.group(0)) for m in _THREAD_STARTS.finditer(text)]
     assert found == [("pipeline.py", "blas.single_thread")]
     assert lapack_imports == []
     assert loaders == {"blas.py"}
+    assert pools == [
+        ("blas.py", "ThreadPoolExecutor("),
+        ("pipeline.py", "ThreadPoolExecutor("),
+    ]
+    assert "ThreadPoolExecutor(" in inspect.getsource(blas.map_pinned)
 
 
 @pytest.mark.parametrize("signed", [False, True], ids=["modulus", "signed"])

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from netmanifold import (
     sample_adjacency,
     sample_collection,
 )
+from netmanifold import graphs as graphs_module
 from netmanifold.graphs import (
     CURVE_A_DIAG_SCALE,
     CURVE_A_OFFDIAG_SCALE,
@@ -243,6 +246,40 @@ def test_sampler_matches_reference(seed, n, variant, ts):
         assert np.array_equal(graph, _reference_sample_adjacency(p, seed ^ k))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    n=st.integers(min_value=1, max_value=40),
+    picks=st.integers(min_value=0, max_value=2**32 - 1),
+    grid=st.integers(min_value=0, max_value=2**53),
+    chunk=st.sampled_from([1, 7, 64, 1 << 16]),
+)
+def test_integer_thresholds_match_float_draws(seed, n, picks, grid, chunk):
+    """The sampler tests Philox's raw words r against ceil(L 2^53) 2^11; it must
+    decide exactly as the float test u < L on the same stream, u the double
+    that stream gives. Every level is drawn from the stream's own u: u itself,
+    its neighbouring doubles, u -/+ 2^-53, 0, 1 and a grid value k 2^-53, with
+    row chunks of 1 to 2^16 draws."""
+    iu = np.triu_indices(n, 1)
+    u = np.random.Generator(np.random.Philox(seed)).random(iu[0].size)
+    levels = np.stack([
+        u,
+        np.nextafter(u, 1.0),
+        np.nextafter(u, 0.0),
+        np.maximum(u - 2.0**-53, 0.0),
+        np.minimum(u + 2.0**-53, 1.0),
+        np.zeros_like(u),
+        np.ones_like(u),
+        np.full_like(u, grid * 2.0**-53),
+    ])
+    pick = np.random.default_rng(picks).integers(0, len(levels), u.size)
+    p = np.zeros((n, n))
+    p[iu] = levels[pick, np.arange(u.size)]
+    with mock.patch.object(graphs_module, "_CHUNK_DRAWS", chunk):
+        got = sample_adjacency(p, seed)
+    assert np.array_equal(got, _reference_sample_adjacency(p, seed))
+
+
 def _two_edges(n=4):
     a = np.zeros((n, n))
     a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = 1.0
@@ -279,12 +316,12 @@ def test_binary_graphs_are_stored_packed():
     assert [g.tobytes() for g in coll.graphs] == [a.tobytes(), np.zeros((10, 10)).tobytes()]
     assert coll.graphs.edge_count() == 2
     assert coll.graphs[-1].shape == (10, 10)
-    # buffered() unpacks every graph into one float64 buffer
-    seen = [(id(g), g.dtype, g.tobytes()) for g in coll.graphs.buffered()]
+    # map() unpacks every graph of a small collection into one float64 buffer
+    seen = coll.graphs.map(lambda g: (id(g), g.dtype, g.tobytes()))
     assert [b for _, _, b in seen] == [g.tobytes() for g in coll.graphs]
     assert len({i for i, _, _ in seen}) == 1 and seen[0][1] == np.float64
     noiseless = noiseless_collection([0.5], 6, "curve-A")
-    assert all(g is h for g, h in zip(noiseless.graphs.buffered(), noiseless.graphs))
+    assert all(g is h for g, h in zip(noiseless.graphs.map(lambda g: g), noiseless.graphs))
     with pytest.raises(ValidationError, match="binary"):
         noiseless.graphs.edge_count()
     with pytest.raises(ValidationError, match="noiseless"):

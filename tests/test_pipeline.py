@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import logging
 import math
 import pathlib
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from netmanifold import (
     run_consistency_experiment,
     run_power_experiment,
 )
-from netmanifold import blas, eigen, pipeline
+from netmanifold import blas, eigen, graphs, pipeline
 from netmanifold.pipeline import (
     consistency_full_config,
     consistency_reduced_config,
@@ -311,6 +313,69 @@ def test_experiment_thread_determinism_on_partial_route(
         runs.append((result.records, csvs))
     assert len(solves) == 3 * config.mc_replicates * config.schedule(1).n_graphs
     assert all(r.valid for r in runs[0][0])
+    assert runs[0] == runs[1] == runs[2]
+
+
+def _record_threads(monkeypatch):
+    """Thread idents of every sparse_mase call, every graph sampled and every
+    eigensolve, in call order."""
+    callers, samplers, solvers = [], [], []
+    mase, sample, solve = pipeline.sparse_mase, graphs._sample_upper, eigen.top_eigenpairs
+
+    def recording(record, fn):
+        def call(*args, **kwargs):
+            record.append(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(pipeline, "sparse_mase", recording(callers, mase))
+    monkeypatch.setattr(graphs, "_sample_upper", recording(samplers, sample))
+    monkeypatch.setattr(eigen, "top_eigenpairs", recording(solvers, solve))
+    return callers, samplers, solvers
+
+
+def test_single_replicate_spreads_its_graphs(monkeypatch, tmp_path, two_blas_threads):
+    """One replicate takes no pool of its own, whatever --threads says: it runs
+    serially, and its n=650 graphs are sampled, and all but graph 0 solved, on
+    worker threads, at most one per BLAS thread, with the CSV bytes of a
+    serial run."""
+    config = consistency_full_config(k_values=(2,), mc_replicates=1)
+    n_graphs = config.schedule(2).n_graphs
+    assert config.schedule(2).n > graphs.SPREAD_MIN_N
+    records = _record_threads(monkeypatch)
+    csvs = []
+    for threads in (1, 3):
+        for record in records:
+            record.clear()
+        out = tmp_path / f"threads{threads}"
+        run_consistency_experiment(config, threads=threads, out_dir=str(out))
+        csvs.append([(out / name).read_bytes() for name in ("replicates.csv", "summary.csv")])
+        callers, samplers, solvers = records
+        assert callers == [threading.get_ident()]
+        assert len(samplers) == n_graphs and threading.get_ident() not in samplers
+        workers = {t for t in solvers if t != threading.get_ident()}
+        assert sum(t in workers for t in solvers) == n_graphs - 1
+        assert len(set(samplers)) <= 2 and len(workers) <= 2
+    assert csvs[0] == csvs[1]
+
+
+def test_paper_scale_replicate_is_thread_independent(tmp_path, two_blas_threads):
+    """The K=12 replicate (n=2150, N=26) of base seed 20241817 wrote sq_gap
+    9.151155001372354e-06 with its products on two BLAS threads and
+    ...369667e-06 on one. --threads 1 and 2 and a run under an outer pin now
+    all write the pinned bytes."""
+    config = consistency_full_config(
+        k_values=(12,), mc_replicates=1, base_seed=20241817
+    )
+    runs = []
+    for threads, pinned in [(1, False), (2, False), (1, True)]:
+        out = tmp_path / f"threads{threads}-pinned{pinned}"
+        with blas.single_thread() if pinned else contextlib.nullcontext():
+            result = run_consistency_experiment(config, threads=threads, out_dir=str(out))
+        csvs = [(out / name).read_bytes() for name in ("replicates.csv", "summary.csv")]
+        runs.append((result.records, csvs))
+    assert runs[0][0][0].valid
     assert runs[0] == runs[1] == runs[2]
 
 
