@@ -5,12 +5,12 @@ eigh below PARTIAL_MIN_N rows; from there up to DENSE_MAX_N rows, and for
 every larger signed solve, the partial solve (one tridiagonalization,
 bisection and inverse iteration from numpy's OpenBLAS LAPACK, called through
 ctypes, so replicate threads solve side by side); above DENSE_MAX_N by
-modulus, warm-started block iteration, which hands over to the partial solve
-when it stalls. Full and partial eigensolves and the SVD pin themselves to
-one BLAS thread (their bits vary with the thread count); the block
-iteration's products are pinned by its caller, MASE's per-graph pass
-(GraphStore.map), which may run one graph per worker thread. canonical_signs
-fixes every returned sign.
+modulus, warm-started block iteration, Chebyshev-filtered on sampled graphs,
+which hands over to the partial solve when it stalls. Full and partial
+eigensolves and the SVD factor float64 on one BLAS thread (their bits vary
+with the thread count); the block iteration's products (product, exact on
+float32 graphs) are pinned by MASE's per-graph pass (GraphStore.map), which
+may run one graph per worker thread. canonical_signs fixes every sign.
 """
 
 import functools
@@ -48,6 +48,7 @@ _MAX_ITER = 40
 _STALL_FROM = 6
 _STALL_WINDOW = 3
 _STALL_MARGIN = 10.0
+_SLICES = 4  # integer slices per column of X in product
 
 
 def canonical_signs(basis):
@@ -94,7 +95,7 @@ def _descending(eigvals, signed):
 def _dense_eigenpairs(a, k, signed=False):
     """All eigenvalues, descending (see _descending), and the top-k eigenvectors."""
     with blas.single_thread():
-        eigvals, eigvecs = np.linalg.eigh(a)
+        eigvals, eigvecs = np.linalg.eigh(np.asarray(a, dtype=float))  # never in float32
     values, order = _descending(eigvals, signed)
     return values, eigvecs[:, order[:k]]
 
@@ -211,17 +212,60 @@ def _stalled(norms, target):
     return final >= math.log(_STALL_MARGIN * target)
 
 
-def _subspace_iteration(a, d, start):
-    """Top-d eigenvectors of A by modulus via block iteration on A @ A.
+def _slices(x, bits):
+    """(scale, slices): x over its column maxima cut into _SLICES float32 integers,
+    slice i weighing 2^(-bits (i+1)), to within 2^-(_SLICES bits + 1)."""
+    scale = np.maximum(np.abs(x, order="F").max(axis=0), np.finfo(float).tiny)
+    rest, slices = x / scale, np.empty((x.shape[0], _SLICES, x.shape[1]), np.float32)
+    for i in range(_SLICES):
+        rest = np.ldexp(rest, bits)
+        cut = np.rint(rest)
+        rest -= cut
+        slices[:, i] = cut
+    return scale, slices
 
-    Each step forms Y = A Q for the Rayleigh-Ritz projection QᵀAQ, whose
-    signed Ritz values and vectors approximate the top eigenpairs of A, then
-    moves on to Q = qr(A Y). Only the top-d Ritz pairs are tested: the solve
-    stops once their residual ||A U - U Θ||_F falls below _RESIDUAL_TOL times
-    the Ritz gap |θ_d| - |θ_{d+1}|, which bounds the distance to the true
-    top-d projector. A tied or slowly separating boundary never passes the
-    test. It hands over to _partial_eigenpairs after _MAX_ITER steps, at
-    once when the Ritz gap is not positive, or once it has _stalled.
+
+def product(a, x):
+    """A @ X; for a float32 0/1 A exact but for the float64 recombination: with
+    X's slices of B = floor(log2(2^24/n)) bits each sgemm partial sum is an
+    integer of modulus <= n 2^B <= 2^24, so no BLAS thread count or kernel moves a bit."""
+    if a.dtype != np.float32:
+        return a @ x
+    bits = (2**24 // len(x)).bit_length() - 1
+    scale, slices = _slices(x, bits)
+    sums = (a @ slices.reshape(len(x), -1)).reshape(slices.shape).transpose(1, 0, 2)
+    sums = sums.astype(float, order="C")  # one contiguous (n, k) block per slice
+    y = sums[-1]
+    for i in range(_SLICES - 2, -1, -1):
+        y = np.ldexp(y, -bits) + sums[i]
+    return y * np.ldexp(scale, -bits)
+
+
+def _filter_degree(wanted, spare, n, density, excess):
+    """(e, m) of the Chebyshev step Q = qr(T_m(A/e) Q), or None for qr(A A Q): e =
+    max(spare |θ_{d+1}|, bulk edge 1.05 · 2√(nρ(1−ρ)) at edge density ρ, Lei &
+    Rinaldo 2015); T_m(A/e) grows wanted |θ_d| by r^m, log r = acosh(|θ_d|/e), so
+    m in [2, 6] meets the residual's excess over target (above 6, θ_1 could
+    outgrow θ_d by 10^4 a step). None without ρ, or unless 0 < e < |θ_d|."""
+    if density is not None:
+        edge = max(spare, 1.05 * 2.0 * math.sqrt(n * density * (1.0 - density)))
+        if 0.0 < edge < wanted:
+            return edge, min(max(math.ceil(math.log(excess) / math.acosh(wanted / edge)), 2), 6)
+    return None
+
+
+def _subspace_iteration(a, d, start, density=None):
+    """Top-d eigenvectors of A by modulus via (Chebyshev-filtered) block iteration.
+
+    Each step forms Y = A Q for the Rayleigh-Ritz projection QᵀAQ, whose signed
+    Ritz values and vectors approximate the top eigenpairs of A, then moves on
+    to qr(T_m(A/e) Q), m products from T_1 = Y/e (_filter_degree; |T_m| keeps
+    A's modulus order), or to qr(A Y). The solve stops once the top-d Ritz
+    residual ||A U - U Θ||_F falls below _RESIDUAL_TOL times the Ritz gap
+    |θ_d| - |θ_{d+1}|, which bounds the distance to the true top-d projector;
+    a tied or slowly separating boundary never does. It hands over to
+    _partial_eigenpairs after _MAX_ITER steps, at once when the Ritz gap is
+    not positive, or once it has _stalled.
 
     Returns (descending moduli, (n, d) basis, final block): the last (n, k)
     iterate, k the column count of start, or the partial solve's top k
@@ -230,29 +274,38 @@ def _subspace_iteration(a, d, start):
     q, _ = np.linalg.qr(start)
     norms = []
     for _ in range(_MAX_ITER):
-        y = a @ q
+        y = product(a, q)
         ritz = q.T @ y
         theta, s = np.linalg.eigh((ritz + ritz.T) / 2.0)
         svals, order = _descending(theta, False)
         s = s[:, order[:d]]
         residual = y @ s - (q @ s) * theta[order[:d]]
-        gap = svals[d - 1] - (svals[d] if svals.size > d else 0.0)
+        spare = svals[d] if svals.size > d else 0.0
+        target = _RESIDUAL_TOL * (svals[d - 1] - spare)
         norms.append(np.linalg.norm(residual))
-        if norms[-1] < _RESIDUAL_TOL * gap:
+        if norms[-1] < target:
             return svals, q @ s, q
-        if gap <= 0.0 or _stalled(norms, _RESIDUAL_TOL * gap):
+        if target <= 0.0 or _stalled(norms, target):
             break
-        q, _ = np.linalg.qr(a @ y)
+        chebyshev = _filter_degree(svals[d - 1], spare, len(a), density, norms[-1] / target)
+        if chebyshev is None:
+            q, _ = np.linalg.qr(product(a, y))
+            continue
+        edge, degree = chebyshev
+        previous, block = q, y / edge
+        for _ in range(degree - 1):
+            previous, block = block, 2.0 * product(a, block) / edge - previous
+        q, _ = np.linalg.qr(block)
     svals, block = _partial_eigenpairs(a, q.shape[1])
     return svals, block[:, :d], block
 
 
-def top_eigenpairs(a, k, signed=False, start=None):
+def top_eigenpairs(a, k, signed=False, start=None, density=None):
     """Top-k eigenpairs of an unchecked symmetric float matrix, by modulus or signed.
 
     Below PARTIAL_MIN_N rows one dense eigh; signed, or up to DENSE_MAX_N
-    rows, the partial solve; above it, by modulus, block iteration on A @ A
-    from start or a fixed Philox (n, k+2) block (A @ A ranks by modulus only).
+    rows, the partial solve (float64); above it, by modulus, block iteration from
+    start or a fixed Philox (n, k+2) block, filtered given a 0/1 A's density.
 
     Returns (values, vectors, block): at least min(k+1, n) eigenvalues in
     descending order, moduli or signed; the (n, k) eigenvectors under
@@ -270,7 +323,7 @@ def top_eigenpairs(a, k, signed=False, start=None):
         if start is None:
             rng = np.random.Generator(np.random.Philox(0x5EED5EED))
             start = rng.standard_normal((n, min(k + 2, n)))
-        values, vectors, block = _subspace_iteration(a, k, start)
+        values, vectors, block = _subspace_iteration(a, k, start, density)
     if not signed:
         _warn_on_tie(values, k)
     return values, canonical_signs(vectors), block

@@ -5,6 +5,7 @@ every sampled object is a pure function of its seed. Graph k of a collection
 is seeded with ``base_seed ^ k`` (k counted from 0).
 """
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -26,13 +27,13 @@ VARIANTS = ("curve-A", "curve-B")
 _SEED_LIMIT = 2**64
 
 # Above this node count a collection's graphs are sampled and embedded one per
-# worker thread (blas.map_pinned), at or below it inline; every product runs
-# on one BLAS thread either way. OpenBLAS threads MASE's products A @ Q from
-# n=510 on, and only there does a pinned product lose to it (2 cores, A @ Q
-# with 4 columns: 75 us at n=500 on one or two threads, 239 against 125 us
-# at n=510). So only there does the spread pay: sparse_mase of 15 graphs at
-# n=600 took 141-154 ms spread, 249-288 ms inline, against 150-195 ms with
-# BLAS threading; at n=500, 99-108 ms spread, 91-92 ms inline.
+# worker thread (blas.map_pinned), at or below it inline, every product on one
+# BLAS thread; and only above it are graphs unpacked to float32 for the exact
+# eigen.product. OpenBLAS threads A @ Q from n=510 on, where a pinned float64
+# product loses to it (4 columns, 2 cores: 75 us at n=500 on one or two threads,
+# 239 against 125 us at n=510); pinned, the float32 one ties with it at n=510
+# (0.17-0.22 against 0.18-0.21 ms), loses at n=500 (0.22 against 0.07 ms). 15
+# graphs' sparse_mase, spread/inline: 141-154/249-288 ms at n=600, 99-108/91-92 at 500.
 SPREAD_MIN_N = 500
 
 # The sampler draws whole rows of Philox words, at most this many (512 KB) at
@@ -257,38 +258,41 @@ class GraphStore(Sequence):
         return np.unpackbits(item, axis=1, count=self.node_count).astype(float)
 
     def _unpack(self, k, buffer):
-        """Graph k, unpacked into the float64 (n, n) buffer if binary."""
+        """Graph k, unpacked into the (n, n) float buffer if binary."""
         if not self.binary:
             return self._items[k]
         np.copyto(buffer, np.unpackbits(self._items[k], axis=1, count=self.node_count))
         return buffer
 
     def map(self, fn, indices=None):
-        """[fn(graph k) for k in indices], by default every graph, in order.
+        """[fn(graph k, k) for k in indices], by default every graph, in order.
 
         Each call runs on one BLAS thread, above SPREAD_MIN_N nodes spread over
         worker threads (blas.map_pinned). Each thread unpacks binary graphs
-        into its own reused float64 buffer, so fn must be done with its graph
-        when it returns; indexing the store still returns a fresh array.
+        into its own reused buffer, float32 above SPREAD_MIN_N nodes (exact 0/1,
+        for eigen.product), float64 below, so fn must be done with its graph
+        when it returns; indexing the store returns a fresh float64 array.
         Real-valued graphs come as stored.
         """
         n = self.node_count
+        dtype = np.float32 if n > SPREAD_MIN_N else float
         return blas.map_pinned(
-            lambda k, buffer: fn(self._unpack(k, buffer)),
+            lambda k, buffer: fn(self._unpack(k, buffer), k),
             range(len(self)) if indices is None else indices,
             n > SPREAD_MIN_N,
-            (lambda: np.empty((n, n))) if self.binary else (lambda: None),
+            (lambda: np.empty((n, n), dtype)) if self.binary else (lambda: None),
         )
 
-    def edge_count(self):
-        """Undirected edges over all graphs, an exact integer popcount.
+    @functools.cached_property
+    def edge_counts(self):
+        """Undirected edges of each graph, exact integer popcounts.
 
         Each edge sets two bits, one in each endpoint's row; the padding bits
         of a packed row are zero.
         """
         if not self.binary:
             raise ValidationError("edge counts need binary graphs")
-        return sum(int(np.bitwise_count(rows).sum()) for rows in self._items) // 2
+        return tuple(int(np.bitwise_count(rows).sum()) // 2 for rows in self._items)
 
 
 @dataclass(frozen=True)

@@ -45,30 +45,30 @@ def joint_subspace(bases, d):
 def estimate_sparsity(collection):
     """Average edge density over all graphs: total edges / (N * C(n, 2)).
 
-    The edge total is an exact integer popcount of the packed graphs, so the
-    estimate is the correctly rounded quotient. Binary collections only.
+    The edge total sums the exact per-graph popcounts GraphStore.edge_counts,
+    so the estimate is the correctly rounded quotient. Binary collections only.
     """
     n = collection.node_count
     if n < 2:
         raise ValidationError("sparsity needs n >= 2")
-    total = collection.graphs.edge_count()
-    return total / (collection.n_graphs * (n * (n - 1) // 2))
+    return sum(collection.graphs.edge_counts) / (collection.n_graphs * (n * (n - 1) // 2))
 
 
 def project_scores(graphs, basis, sparsity):
     """Score matrices (1/rho) V̂ᵀ A^(k) V̂ for one fixed basis.
 
     graphs is a GraphStore, whose graphs are projected by GraphStore.map, or a
-    sequence of float (n, n) arrays. The product is symmetrized explicitly;
-    floating point leaves ~1e-11 asymmetry at n ~ 1000 otherwise.
+    sequence of float (n, n) arrays; float32 ones (0/1 only) by eigen.product.
+    The product is symmetrized: floating point leaves ~1e-11 asymmetry at n ~ 1000.
     """
     if sparsity <= 0.0:
         raise SparsityError("sparsity must be positive to scale scores")
     if not isinstance(graphs, GraphStore):
         graphs = GraphStore(graphs, basis.shape[0], binary=False)
 
-    def score(a):
-        m = basis.T @ a @ basis / sparsity
+    def score(a, _):
+        left = eigen.product(a, basis).T if a.dtype == np.float32 else basis.T @ a
+        m = left @ basis / sparsity
         return (m + m.T) / 2.0
 
     return graphs.map(score)
@@ -116,12 +116,15 @@ def sparse_mase(collection, d, sparsity=None):
     # COSIE graphs share one invariant subspace, so graph 0's final block
     # from eigen.top_eigenpairs (None on the dense route) warm-starts every
     # other graph's block iteration. The start depends on the collection
-    # alone, not on scheduling.
-    graphs = collection.graphs
-    [(_, first, start)] = graphs.map(lambda a: eigen.top_eigenpairs(a, d), [0])
-    rest = graphs.map(
-        lambda a: eigen.top_eigenpairs(a, d, start=start)[1], range(1, len(graphs))
-    )
+    # alone, not on scheduling. A binary graph's filter reads its own density.
+    graphs, pairs = collection.graphs, max(n * (n - 1) // 2, 1)
+    density = [c / pairs for c in graphs.edge_counts] if graphs.binary else [None] * len(graphs)
+
+    def solve(a, k, start=None):
+        return eigen.top_eigenpairs(a, d, start=start, density=density[k])
+
+    [(_, first, start)] = graphs.map(solve, [0])
+    rest = graphs.map(lambda a, k: solve(a, k, start)[1], range(1, len(graphs)))
     basis = joint_subspace([first, *rest], d)
     return project_scores(graphs, basis, rho), rho
 

@@ -8,9 +8,12 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag, lapack
 
 from netmanifold import (
@@ -217,3 +220,91 @@ def test_partial_solves_run_side_by_side_on_two_threads():
             for _ in range(5)
         )
     assert pooled < 0.8 * serial
+
+
+@pytest.mark.parametrize(
+    "n, patch",
+    [(40, None), (150, None), (260, "_MAX_ITER"), (150, "_lapack")],
+    ids=["dense-n40", "partial-n150", "hand-over-n260", "eigh-fallback-n150"],
+)
+def test_float32_graphs_factor_in_float64(monkeypatch, n, patch):
+    """A 0/1 graph as float32 and as float64 gives the same bytes on the dense
+    route, the partial route, a hand-over from block iteration after one step,
+    and the partial solve's eigh fallback: every factorization reads float64."""
+    a = np.asarray(sample_collection([0.6], n, "curve-A", 11).graphs[0], dtype=float)
+    if patch == "_MAX_ITER":
+        monkeypatch.setattr(eigen, "_MAX_ITER", 1)
+    elif patch == "_lapack":
+        monkeypatch.setattr(eigen, "_lapack", lambda: None)
+    density = np.count_nonzero(a) / (n * (n - 1))
+    single, double = (
+        eigen.top_eigenpairs(a.astype(dtype), 2, density=density) for dtype in (np.float32, float)
+    )
+    for got, expected in zip(single, double):
+        assert (got is None and expected is None) or got.tobytes() == expected.tobytes()
+    assert single[0].dtype == np.float64 and single[1].dtype == np.float64
+
+
+def _column(kind, n, rng):
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "tiny":
+        return 1e-290 * rng.standard_normal(n)
+    if kind == "spiky":
+        return np.where(rng.random(n) < 0.01, 1e6, 1e-6) * rng.standard_normal(n)
+    if kind == "flat":  # first slices near 2^B, so a full row sums near n 2^B
+        return 1.0 - 2.0**-10 * rng.random(n)
+    return rng.standard_normal(n)
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    n=st.sampled_from([4096, 4097]) | st.integers(1, 1200),
+    kinds=st.lists(
+        st.sampled_from(["zero", "tiny", "normal", "spiky", "flat"]), min_size=1, max_size=3
+    ),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4096, kinds=["normal", "zero", "tiny"], density=0.5, seed=1)
+@example(n=4097, kinds=["spiky", "normal"], density=1.0, seed=2)
+@example(n=4096, kinds=["flat"], density=1.0, seed=3)
+def test_sliced_product_is_exact(two_blas_threads, n, kinds, density, seed):
+    """eigen.product of a float32 0/1 matrix slices X at the widest B with
+    n 2^B <= 2^24; the sgemm of those integer slices equals the int64 product
+    of the same slices bit for bit; the result lies within n 2^-(4B+1)
+    max|x_col| (the dropped remainder) plus n 2^-50 max|x_col| (the float64
+    recombination) of a long-double reference; and its bytes are the same on
+    one and on two BLAS threads. A flat column on a full matrix takes the
+    partial sums up to n 2^B, the most the slice width allows."""
+    assert blas.thread_count() == 2
+    rng = np.random.default_rng(seed)
+    a = (rng.random((n, n)) < density).astype(np.float32)
+    x = np.column_stack([_column(kind, n, rng) for kind in kinds])
+    with mock.patch.object(eigen, "_slices", wraps=eigen._slices) as slicer:
+        product = eigen.product(a, x)
+    bits = slicer.call_args.args[1]
+    assert n * 2**bits <= 2**24 < n * 2 ** (bits + 1)
+    _, slices = eigen._slices(x, bits)
+    assert np.abs(slices).max() <= 2**bits
+    flat = slices.reshape(n, -1)
+    sums = a @ flat
+    exact = np.empty(sums.shape, np.int64)
+    whole = flat.astype(np.int64)
+    for rows in range(0, n, 512):  # int64 copies of a, 512 rows at a time
+        exact[rows : rows + 512] = a[rows : rows + 512].astype(np.int64) @ whole
+    assert np.array_equal(sums, exact)
+    with blas.single_thread():
+        assert eigen.product(a, x).tobytes() == product.tobytes()
+    reference = np.empty(x.shape, np.longdouble)
+    for rows in range(0, n, 512):
+        reference[rows : rows + 512] = a[rows : rows + 512].astype(np.longdouble) @ x.astype(
+            np.longdouble
+        )
+    scale = np.abs(x).max(axis=0)
+    bound = n * scale * (2.0 ** -(4 * bits + 1) + 2.0**-50)
+    assert (np.abs(product - reference) <= bound).all()

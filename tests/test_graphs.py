@@ -314,16 +314,28 @@ def test_binary_graphs_are_stored_packed():
     coll = GraphCollection(graphs=(a, np.zeros((10, 10))))
     assert isinstance(coll.graphs, GraphStore) and coll.graphs.binary
     assert [g.tobytes() for g in coll.graphs] == [a.tobytes(), np.zeros((10, 10)).tobytes()]
-    assert coll.graphs.edge_count() == 2
+    assert coll.graphs.edge_counts == (2, 0)
     assert coll.graphs[-1].shape == (10, 10)
     # map() unpacks every graph of a small collection into one float64 buffer
-    seen = coll.graphs.map(lambda g: (id(g), g.dtype, g.tobytes()))
-    assert [b for _, _, b in seen] == [g.tobytes() for g in coll.graphs]
-    assert len({i for i, _, _ in seen}) == 1 and seen[0][1] == np.float64
+    seen = coll.graphs.map(lambda g, k: (id(g), g.dtype, g.tobytes(), k))
+    assert [b for _, _, b, _ in seen] == [g.tobytes() for g in coll.graphs]
+    assert len({i for i, _, _, _ in seen}) == 1 and seen[0][1] == np.float64
+    assert [k for *_, k in seen] == [0, 1]
+    # above SPREAD_MIN_N into float32 buffers, which hold 0/1 exactly; at
+    # SPREAD_MIN_N still float64; indexing returns float64 either way
+    for n, dtype in [
+        (graphs_module.SPREAD_MIN_N + 2, np.float32),
+        (graphs_module.SPREAD_MIN_N, np.float64),
+    ]:
+        large = GraphCollection(graphs=(_two_edges(n), np.ones((n, n)) - np.eye(n)))
+        seen = large.graphs.map(lambda g, k: (g.dtype, np.array_equal(g, large.graphs[k])))
+        assert seen == [(dtype, True)] * 2
+        assert all(g.dtype == np.float64 for g in large.graphs)
+        assert large.graphs.edge_counts == (2, n * (n - 1) // 2)
     noiseless = noiseless_collection([0.5], 6, "curve-A")
-    assert all(g is h for g, h in zip(noiseless.graphs.map(lambda g: g), noiseless.graphs))
+    assert all(g is h for g, h in zip(noiseless.graphs.map(lambda g, _: g), noiseless.graphs))
     with pytest.raises(ValidationError, match="binary"):
-        noiseless.graphs.edge_count()
+        noiseless.graphs.edge_counts
     with pytest.raises(ValidationError, match="noiseless"):
         GraphCollection(graphs=coll.graphs, noiseless=True)
 

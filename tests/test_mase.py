@@ -260,19 +260,21 @@ def test_iterative_route_warns_on_tied_boundary():
 def _record_solves(monkeypatch, coll):
     """Record every per-graph basis sparse_mase solves, keyed by the index of
     its graph in coll (large graphs are solved on worker threads, in completion
-    order), every fallback to the partial solve, and the step of every early
-    exit from the iteration."""
+    order), every fallback to the partial solve, the step of every early
+    exit from the iteration, and the degree of every filtered step."""
     bases, fallbacks, exits = {}, [], []
     index = {g.tobytes(): k for k, g in enumerate(coll.graphs)}
-    top_eigenpairs, partial, stalled = (
+    top_eigenpairs, partial, stalled, degree = (
         eigen.top_eigenpairs,
         eigen._partial_eigenpairs,
         eigen._stalled,
+        eigen._filter_degree,
     )
+    degrees = []
 
     def recording_top_eigenpairs(a, *args, **kwargs):
         values, basis, block = top_eigenpairs(a, *args, **kwargs)
-        bases[index[a.tobytes()]] = basis
+        bases[index[np.asarray(a, dtype=float).tobytes()]] = basis
         return values, basis, block
 
     def counting_partial(a, k, signed=False):
@@ -285,10 +287,16 @@ def _record_solves(monkeypatch, coll):
             return True
         return False
 
+    def recording_degree(*args):
+        chebyshev = degree(*args)
+        degrees.append(None if chebyshev is None else chebyshev[1])
+        return chebyshev
+
     monkeypatch.setattr(eigen, "top_eigenpairs", recording_top_eigenpairs)
     monkeypatch.setattr(eigen, "_partial_eigenpairs", counting_partial)
     monkeypatch.setattr(eigen, "_stalled", recording_stalled)
-    return bases, fallbacks, exits
+    monkeypatch.setattr(eigen, "_filter_degree", recording_degree)
+    return bases, fallbacks, exits, degrees
 
 
 @pytest.mark.parametrize(
@@ -304,8 +312,17 @@ def _record_solves(monkeypatch, coll):
         # partial solve
         (np.random.default_rng(1002).uniform(0.25, 1.0, 15), 200, 1002, None),
         (np.random.default_rng(1003).uniform(0.25, 1.0, 12), 64, 1003, None),
+        # consistency K=6 size: float32 graphs, Chebyshev-filtered steps
+        (np.random.default_rng(1004).uniform(0.25, 1.0, 6), 1250, 1004, None),
     ],
-    ids=["c2-seed1000", "c2-seed1001", "bulk-edge-n200", "partial-n200", "partial-n64"],
+    ids=[
+        "c2-seed1000",
+        "c2-seed1001",
+        "bulk-edge-n200",
+        "partial-n200",
+        "partial-n64",
+        "filtered-n1250",
+    ],
 )
 def test_warm_route_agrees_with_dense_eigh(monkeypatch, ts, n, seed, crossover):
     """Agreement bound of the warm-started and the partial routes against dense eigh.
@@ -316,9 +333,12 @@ def test_warm_route_agrees_with_dense_eigh(monkeypatch, ts, n, seed, crossover):
     coll = sample_collection(ts, n, "curve-A", seed)
     if crossover is not None:
         monkeypatch.setattr(eigen, "DENSE_MAX_N", crossover)
-    bases, fallbacks, exits = _record_solves(monkeypatch, coll)
+    bases, fallbacks, exits, degrees = _record_solves(monkeypatch, coll)
     scores, _ = sparse_mase(coll, 2, sparsity=1.0)
     warm = dict(bases)
+    if crossover is None and n > eigen.DENSE_MAX_N:
+        # binary graphs carry their density, so the block iteration filters
+        assert any(m is not None and 2 <= m <= 6 for m in degrees)
     if crossover is not None:
         assert len(fallbacks) >= 1
         # every fallback left the iteration before its step cap
@@ -336,6 +356,35 @@ def test_warm_route_agrees_with_dense_eigh(monkeypatch, ts, n, seed, crossover):
     scale = max(np.abs(r).max() for r in dense_scores)
     score_gap = max(np.abs(r - q).max() for r, q in zip(scores, dense_scores))
     assert score_gap <= 1e-10 * scale
+
+
+def test_noiseless_collections_keep_the_plain_step(monkeypatch):
+    """Real-valued graphs carry no edge density: above the dense crossover
+    their block iteration takes only the unfiltered step Q = qr(A (A Q)), every
+    product a float64 A @ X, and the bases match dense eigh as before."""
+    coll = noiseless_collection(np.linspace(0.3, 0.9, 4), 400, "curve-A")
+    bases, fallbacks, _, degrees = _record_solves(monkeypatch, coll)
+    dtypes, densities, product, solve = [], [], eigen.product, eigen.top_eigenpairs
+
+    def recording_product(a, x):
+        dtypes.append(a.dtype)
+        return product(a, x)
+
+    def recording_solve(a, *args, density=None, **kwargs):
+        densities.append(density)
+        return solve(a, *args, density=density, **kwargs)
+
+    monkeypatch.setattr(eigen, "product", recording_product)
+    monkeypatch.setattr(eigen, "top_eigenpairs", recording_solve)
+    sparse_mase(coll, 2, sparsity=1.0)
+    assert densities == [None] * coll.n_graphs
+    assert degrees and all(m is None for m in degrees)
+    assert dtypes and all(dtype == np.float64 for dtype in dtypes)
+    assert fallbacks == [] and len(bases) == coll.n_graphs
+    for k, basis in bases.items():
+        eigvals, eigvecs = np.linalg.eigh(coll.graphs[k])
+        top = eigvecs[:, np.argsort(-np.abs(eigvals), kind="stable")[:2]]
+        assert np.abs(_projector(basis) - _projector(top)).max() <= 1e-8
 
 
 def test_canonical_signs_fixed_point_and_flip():
