@@ -134,8 +134,8 @@ def _partial_eigenpairs(a, k, signed=False):
     One tridiagonalization (dsytrd), bisection (dstebz) for the k+1 largest
     signed eigenvalues, and for the modulus order also the k+1 smallest, among
     which the k+1 largest moduli lie; inverse iteration (dstein) for the top-k
-    vectors, and the reflectors applied back (dormtr). The routines are
-    numpy's OpenBLAS LAPACK, called through ctypes, so other threads run
+    vectors, and the reflectors applied back, unblocked (dormtr). The routines
+    are numpy's OpenBLAS LAPACK, called through ctypes, so other threads run
     meanwhile. Should dstebz or dstein fail, or the routines be missing, eigh
     answers.
     """
@@ -148,9 +148,11 @@ def _partial_eigenpairs(a, k, signed=False):
     bounds = [(n - m + 1, n)]
     if not signed:
         bounds = [(1, n)] if 2 * m >= n else [(1, m)] + bounds
-    # Blocked dsytrd and dormtr take 64 words per row plus a 65 x 64 block,
-    # dstebz and dstein at most 5n. w and iblock hold one bisection per n
-    # words, then the eigenvalues handed to dstein.
+    # Blocked dsytrd takes 64 words per row plus a 65 x 64 block, dstebz and
+    # dstein at most 5n. dormtr gets the least it accepts, k words, and so
+    # applies the reflectors one at a time (dorm2l): forming compact-WY blocks
+    # of them costs more than the few sweeps over k columns. w and iblock hold
+    # one bisection per n words, then the eigenvalues handed to dstein.
     lwork = 64 * n + 65 * 64
     x, at = _carve(
         a=n * n, d=n, e=n, tau=n, w=2 * n, iblock=2 * n, isplit=n, z=top_k * n,
@@ -191,7 +193,7 @@ def _partial_eigenpairs(a, k, signed=False):
         if status[0]:
             return _dense_eigenpairs(a, k, signed)
         dormtr(b"L", b"U", b"N", n_, k_, at["a"], n_, at["tau"], at["z"], n_, at["work"],
-               lwork_, info, 1, 1, 1)
+               k_, info, 1, 1, 1)
     # column j of the Fortran (n, k) array z is row j here
     return values[:m], x["z"].reshape(top_k, n)[grouping.argsort()].T
 

@@ -122,25 +122,31 @@ def _sample_upper(levels, rows, seed, a, mirror):
     One Philox stream per graph gives the uniform draws u of the strict upper
     triangle, row by row, as raw 64-bit words r with u = (r >> 11) 2^-53. So
     u < L exactly when r >> 11 < ceil(L 2^53), an integer test that needs no
-    float draws and stays exact at L = 0 and L = 1. The words come in chunks
-    of whole rows; row i compares its words with the thresholds of
-    levels[rows[i], i+1:] straight into a, which is then mirrored.
+    float draws and stays exact at L = 0 and L = 1. The words come chunk by
+    chunk, each chunk whole rows of one label; they are scattered in stream
+    order into the cells j > i of a rectangle of the chunk's rows and columns,
+    compared at once with the label's thresholds straight into a, masked to
+    j > i, and a is then mirrored.
     """
     n = levels.shape[1]
     bits = np.random.Philox(_check_seed(seed))
     thresholds = np.ceil(levels * 2.0**53).astype(np.uint64)
     a.fill(False)
     step = max(1, _CHUNK_DRAWS // n)
-    for first in range(0, n - 1, step):
-        last = min(first + step, n - 1)
+    upper = np.arange(n - 1) >= np.arange(min(step, n - 1))[:, None]
+    scratch = np.empty(upper.size, np.uint64)
+    # chunks of at most step rows, also cut where the row label changes
+    label_starts = np.flatnonzero(np.diff(rows[: n - 1])) + 1
+    splits = np.union1d(np.arange(step, n - 1, step), label_starts)
+    for first, last in zip([0, *splits], [*splits, n - 1]):
         # rows first..last-1 hold n-1-first down to n-last draws
         words = bits.random_raw((2 * n - 1 - first - last) * (last - first) // 2)
-        np.right_shift(words, 11, out=words)
-        off = 0
-        for i in range(first, last):
-            m = n - 1 - i
-            np.less(words[off : off + m], thresholds[rows[i], i + 1 :], out=a[i, i + 1 :])
-            off += m
+        mask = upper[: last - first, : n - 1 - first]
+        rect = scratch[: mask.size].reshape(mask.shape)
+        rect[mask] = np.right_shift(words, 11, out=words)
+        block = a[first:last, first + 1 :]
+        np.less(rect, thresholds[rows[first], first + 1 :], out=block)
+        block &= mask
     np.copyto(mirror, a.T)
     a |= mirror
     return a

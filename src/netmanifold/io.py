@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import re
+import sys
 import typing
 from dataclasses import dataclass
 
@@ -341,8 +342,10 @@ def load_manifest(path):
             "format_version", f"expected {MANIFEST_FORMAT_VERSION}, got {version!r}"
         )
     node_count = doc.get("node_count")
-    if type(node_count) is not int or node_count < 1:  # bools are rejected
-        raise _manifest_error("node_count", "must be a positive integer")
+    # below 2^30 numpy can describe every (n, n) matrix of 8-byte words; one
+    # that does not fit in memory ends in a MemoryError (bools are rejected)
+    if type(node_count) is not int or not 1 <= node_count < 2**30:
+        raise _manifest_error("node_count", "must be a positive integer below 2^30")
     series = doc.get("series")
     if not isinstance(series, list) or not series:
         raise _manifest_error("series", "must be a non-empty list")
@@ -355,17 +358,17 @@ def load_manifest(path):
         graphs = entry.get("graphs")
         if not isinstance(graphs, list) or not graphs:
             raise _manifest_error(f"{where}.graphs", "must be a non-empty list")
-        if not all(isinstance(g, str) for g in graphs):
-            raise _manifest_error(f"{where}.graphs", "entries must be strings")
+        if not all(isinstance(g, str) and "\0" not in g for g in graphs):
+            raise _manifest_error(f"{where}.graphs", "entries must be strings without NUL")
         if "response" not in entry:
             raise _manifest_error(f"{where}.response", "missing")
         response = entry["response"]
         if response is not None:
             if not isinstance(response, (int, float)) or isinstance(response, bool):
                 raise _manifest_error(f"{where}.response", "must be a number or null")
-            response = float(response)
-            if not math.isfinite(response):
+            if not abs(response) <= sys.float_info.max:  # NaN, inf, ints beyond floats
                 raise _manifest_error(f"{where}.response", "must be finite")
+            response = float(response)
         paths.append(tuple(graphs))
         responses.append(response)
     length = len(paths[0])

@@ -80,7 +80,8 @@ def f_statistic(ys, fitted):
     """Slope F-statistic (s - 2) * SSR / SSE from observed and fitted values.
 
     A perfect fit (zero residual sum of squares) returns +inf; callers report
-    it as a rejection with p = 0.
+    it as a rejection with p = 0. Sums of squares that overflow (responses
+    near the float limit) raise DegenerateDesignError.
     """
     y = _as_1d("responses", ys)
     yhat = _as_1d("fitted values", fitted)
@@ -90,8 +91,11 @@ def f_statistic(ys, fitted):
     if s < 3:
         raise ValidationError("the F-test needs at least 3 points (df = s - 2 >= 1)")
     y_mean = y.mean()
-    ssr = float(((yhat - y_mean) ** 2).sum())
-    sse = float(((y - yhat) ** 2).sum())
+    with np.errstate(over="ignore"):  # an overflow raises below
+        ssr = float(((yhat - y_mean) ** 2).sum())
+        sse = float(((y - yhat) ** 2).sum())
+    if not math.isfinite(ssr + sse):
+        raise DegenerateDesignError("the sums of squares overflow; rescale the responses")
     if sse == 0.0:
         return math.inf
     return (s - 2) * ssr / sse

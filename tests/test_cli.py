@@ -612,3 +612,85 @@ def test_cli_exit_codes_under_fuzzed_edge_lists(tmp_path_factory):
             assert "Traceback" not in output
 
     run()
+
+
+_JUNK = (
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | st.text(max_size=2)
+    | st.just([]) | st.just({})
+)
+# Wrong types, out-of-range and non-finite numbers, and graph paths that do
+# not resolve: a missing file, the manifest's directory, a NUL byte.
+_PATHS = st.sampled_from(["missing.csv", "", ".", "a\x00b", "..", 7])
+_WILD_VALUES = {
+    "format_version": st.sampled_from([0, 2, 1.0, "1"]),
+    "node_count": st.sampled_from([0, -1, 59, 61, 120, 2**29, 2**30, 2**63, 10**400]),
+    "series": st.sampled_from([[], [{}], [[]], [None]]),
+    "graphs": _PATHS.map(lambda g: [g]) | st.lists(_PATHS, max_size=2),
+    "response": st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0, -1e300, 1e308, 10**400, -(10**400)]
+    ),
+}
+
+
+@st.composite
+def _mutated_manifests(draw, doc):
+    """doc after one to three edits, each a value replaced (half of them by a
+    wild value of the key), a key dropped or an unknown key added; one edit in
+    three is to the top level, the others to one series."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        series = doc.get("series")
+        entries = [e for e in series if isinstance(e, dict)] if isinstance(series, list) else []
+        if entries and draw(st.integers(0, 2)):
+            target = draw(st.sampled_from(entries))
+            key = draw(st.sampled_from(["graphs", "response"]))
+        else:
+            target = doc
+            key = draw(st.sampled_from(["format_version", "node_count", "node_count", "series"]))
+        edit = draw(st.sampled_from(["wild"] * 3 + ["junk", "drop", "extra"]))
+        if edit == "drop":
+            target.pop(key, None)
+        elif edit == "extra":
+            target[draw(st.sampled_from(["extra", "Series", ""]))] = draw(_JUNK)
+        else:
+            target[key] = draw(_WILD_VALUES[key] if edit == "wild" else _JUNK)
+    return doc
+
+
+def test_cli_exit_codes_under_fuzzed_manifests(weighted_dataset, tmp_path_factory):
+    """Any manifest contents end analyze, mase and predict in exit 0, 2 or 3,
+    never in a traceback, and a run that finishes reports no NaN statistic.
+    The examples are the defects this test found: a node_count numpy cannot
+    allocate or describe, a NUL byte in a graph path, a response integer
+    beyond the float range, and a response whose square overflows."""
+    manifest_path, _ = weighted_dataset
+    with open(manifest_path) as fh:
+        doc = json.load(fh)
+    base = os.path.dirname(manifest_path)
+    for entry in doc["series"]:
+        entry["graphs"] = [os.path.join(base, g) for g in entry["graphs"]]
+    root = tmp_path_factory.mktemp("manifests")
+    path = str(root / "manifest.json")
+    commands = [
+        _typical_argv("analyze", path, "position", 1),
+        _typical_argv("predict", path, "position", 1),
+        ["mase", "--manifest", path, "--d", "2", "--out", str(root / "scores.csv")],
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mutated_manifests(doc), st.sampled_from(commands))
+    @example({**doc, "node_count": 2**32}, commands[2])
+    @example({**doc, "node_count": 2**29}, commands[2])
+    @example({**doc, "series": [{"graphs": ["a\x00b"], "response": 1.0}]}, commands[2])
+    @example({**doc, "series": [{"graphs": ["x.csv"], "response": 10**400}]}, commands[2])
+    @example({**doc, "series": [{**doc["series"][0], "response": 1e308}] + doc["series"][1:]},
+             commands[0])
+    def run(manifest, argv):
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        code, output = _exit_code(argv)
+        assert code in (0, 2, 3), (argv, manifest, output)
+        assert "Traceback" not in output
+        assert "=nan" not in output
+
+    run()

@@ -182,6 +182,28 @@ def test_partial_solve_at_one_to_three_rows(monkeypatch, n, signed):
     assert np.abs(routed[1] - expected[1]).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "n, t, variant", [(64, 1.8, "curve-B"), (200, 1.5, "curve-A")], ids=["n64", "n200"]
+)
+def test_modulus_partial_solve_agrees_with_eigh_on_sampled_graphs(n, t, variant):
+    """By modulus, k=2, on sampled 0/1 graphs at both ends of the partial route
+    (PARTIAL_MIN_N to DENSE_MAX_N rows), directly and through top_eigenpairs:
+    the k+1 moduli to 1e-12 relative to |lambda|max, the top-k projector to 1e-12."""
+    assert eigen.PARTIAL_MIN_N <= n <= eigen.DENSE_MAX_N
+    a = np.asarray(sample_collection([t], n, variant, n).graphs[0], dtype=float)
+    k = 2
+    eigvals, eigvecs = np.linalg.eigh(a)
+    order = np.argsort(-np.abs(eigvals), kind="stable")
+    scale = np.abs(eigvals).max()
+    expected = eigvecs[:, order[:k]] @ eigvecs[:, order[:k]].T
+    routed = eigen.top_eigenpairs(a, k)
+    assert routed[2] is None
+    moduli = np.abs(eigvals[order[: k + 1]])
+    for values, vectors in [eigen._partial_eigenpairs(a, k), routed[:2]]:
+        assert np.abs(values[: k + 1] - moduli).max() <= 1e-12 * scale
+        assert np.abs(vectors @ vectors.T - expected).max() <= 1e-12
+
+
 def _usable_cores():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

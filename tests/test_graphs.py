@@ -246,6 +246,19 @@ def test_sampler_matches_reference(seed, n, variant, ts):
         assert np.array_equal(graph, _reference_sample_adjacency(p, seed ^ k))
 
 
+def test_sampler_matches_reference_at_full_chunks():
+    """sample_collection at n=650, where a chunk holds 100 rows and the
+    community boundary, row 325, falls inside the chunk of rows 300-399: every
+    graph is exactly the triu-gather sampler's."""
+    n, seed, ts = 650, 2**63 + 17, (0.3, 1.2, 1.6)
+    assert graphs_module._CHUNK_DRAWS // n == 100
+    coll = sample_collection(ts, n, "curve-A", seed)
+    assignment = balanced_membership(n, 2)
+    for k, t in enumerate(ts):
+        p = probability_matrix(assignment, build_block_probability(t, "curve-A"))
+        assert np.array_equal(coll.graphs[k], _reference_sample_adjacency(p, seed ^ k))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),

@@ -171,6 +171,13 @@ def test_f_test_rejects_perfect_line():
     assert report.p_value == 0.0
 
 
+def test_f_test_overflowing_sums_of_squares_raise():
+    """Responses near the float limit overflow the sums of squares: an error,
+    not an F-statistic of NaN."""
+    with pytest.raises(DegenerateDesignError, match="overflow"):
+        f_test([0.0, 1.0, 2.0, 3.0], [1e308, 0.0, 1.0, 2.0])
+
+
 def test_f_test_validation():
     with pytest.raises(ValidationError):
         f_test([0.0, 1.0], [1.0, 2.0])
