@@ -18,14 +18,11 @@ from .errors import (
     ValidationError,
 )
 from .graphs import (
-    CosieParameters,
     GraphCollection,
     balanced_membership,
     build_block_probability,
-    msbm_to_cosie,
     noiseless_collection,
     probability_matrix,
-    sample_adjacency,
     sample_collection,
 )
 from .io import (
@@ -35,7 +32,6 @@ from .io import (
     load_manifest,
     load_replicate_records,
     load_weighted_edge_list,
-    save_manifest,
     write_replicate_records,
 )
 from .manifold import (
@@ -50,7 +46,6 @@ from .manifold import (
 )
 from .mase import (
     coords_matrix,
-    pairwise_frobenius,
     scaled_score_points,
     sparse_mase,
 )
@@ -90,7 +85,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "ConnectivityError",
-    "CosieParameters",
     "DatasetManifest",
     "DegenerateDesignError",
     "DegenerateInputError",
@@ -129,10 +123,8 @@ __all__ = [
     "load_replicate_records",
     "load_weighted_edge_list",
     "localization_graph",
-    "msbm_to_cosie",
     "noiseless_collection",
     "oracle_prediction",
-    "pairwise_frobenius",
     "power_full_config",
     "pred_graph_resp",
     "predict_from_embeddings",
@@ -141,9 +133,7 @@ __all__ = [
     "raw_stress",
     "run_consistency_experiment",
     "run_power_experiment",
-    "sample_adjacency",
     "sample_collection",
-    "save_manifest",
     "scaled_score_points",
     "shortest_path_matrix",
     "smacof_minimize",

@@ -1,4 +1,4 @@
-"""Balanced multilayer blockmodel generators and their common-subspace form.
+"""Balanced multilayer blockmodel generators and the graph store.
 
 All randomness flows through numpy's counter-based Philox generator so that
 every sampled object is a pure function of its seed. Graph k of a collection
@@ -84,15 +84,6 @@ def balanced_membership(n, n_communities):
     return np.repeat(np.arange(n_communities), n // n_communities)
 
 
-def membership_onehot(assignment):
-    """One-hot membership matrix Z with row sums 1."""
-    assignment = np.asarray(assignment)
-    n_communities = int(assignment.max()) + 1
-    z = np.zeros((assignment.size, n_communities))
-    z[np.arange(assignment.size), assignment] = 1.0
-    return z
-
-
 def _check_block(assignment, block):
     """The block matrix as floats, after the checks every expansion needs.
 
@@ -150,64 +141,6 @@ def _sample_upper(levels, rows, seed, a, mirror):
     np.copyto(mirror, a.T)
     a |= mirror
     return a
-
-
-def sample_adjacency(p, seed):
-    """Sample a symmetric hollow binary adjacency matrix from P.
-
-    Independent Bernoulli draws on the strict upper triangle are mirrored
-    below; the diagonal is forced to zero even when P has a nonzero diagonal.
-    Deterministic given the seed (Philox).
-    """
-    p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    if p.shape != (n, n):
-        raise ValidationError("probability matrix must be square")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise ValidationError("edge probabilities must lie in [0, 1]")
-    a, mirror = np.empty((2, n, n), dtype=bool)
-    return _sample_upper(p, np.arange(n), seed, a, mirror).astype(float)
-
-
-@dataclass(frozen=True)
-class CosieParameters:
-    """Shared subspace plus per-graph score matrices (V; R^(1..N); rho)."""
-
-    subspace: np.ndarray
-    scores: tuple
-    sparsity: float = 1.0
-
-    def __post_init__(self):
-        v = self.subspace
-        gram_err = np.abs(v.T @ v - np.eye(v.shape[1])).max()
-        if gram_err >= 1e-10:
-            raise ValidationError(f"subspace columns not orthonormal (error {gram_err:.2e})")
-        if not 0.0 < self.sparsity <= 1.0:
-            raise ValidationError("sparsity must lie in (0, 1]")
-
-
-def msbm_to_cosie(assignment, blocks, sparsity=1.0):
-    """Map blockmodel parameters to the common-subspace form.
-
-    V = Z (ZᵀZ)^{-1/2} and R^(k) = (ZᵀZ)^{1/2} B^(k) (ZᵀZ)^{1/2}. With
-    balanced communities of size c the entries use sqrt(c_i * c_j) directly,
-    so R = c B holds bitwise and the scaled score R/n equals B/K exactly
-    (note the 1/K factor relative to B itself).
-    """
-    assignment = np.asarray(assignment)
-    counts = np.bincount(assignment)
-    if (counts == 0).any():
-        raise ValidationError("every community must be non-empty")
-    root_outer = np.sqrt(np.outer(counts, counts).astype(float))
-    scores = []
-    for block in blocks:
-        block = np.asarray(block, dtype=float)
-        if block.shape != (counts.size, counts.size):
-            raise ValidationError("block matrix shape does not match community count")
-        scores.append(root_outer * block)
-    z = membership_onehot(assignment)
-    subspace = z / np.sqrt(counts.astype(float))[assignment][:, None]
-    return CosieParameters(subspace=subspace, scores=tuple(scores), sparsity=sparsity)
 
 
 class GraphStore(Sequence):

@@ -29,6 +29,11 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_FORMAT_VERSION = 1
 
+# Node counts, and the experiments' K values and graph counts, lie below this
+# bound: below it numpy can describe every (n, n) matrix of 8-byte words; one
+# that does not fit in memory ends in a MemoryError.
+COUNT_LIMIT = 2**30
+
 # CSV names of the record fields whose column is not named after the field.
 COLUMN_NAMES = {"k_index": "K", "n_graphs": "N", "radius": "lambda"}
 EMBEDDING_COLUMNS = ("index", "z_hat", "response")
@@ -79,7 +84,6 @@ class DatasetManifest:
     series_paths: tuple  # tuple of tuples of relative paths
     responses: tuple  # floats, possibly followed by Nones
     base_dir: str
-    format_version: int = MANIFEST_FORMAT_VERSION
 
     @property
     def n_series(self):
@@ -326,7 +330,7 @@ def load_json_object(path):
     with open_text(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax, or an integer of over 4300 digits
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be an object")
@@ -342,9 +346,7 @@ def load_manifest(path):
             "format_version", f"expected {MANIFEST_FORMAT_VERSION}, got {version!r}"
         )
     node_count = doc.get("node_count")
-    # below 2^30 numpy can describe every (n, n) matrix of 8-byte words; one
-    # that does not fit in memory ends in a MemoryError (bools are rejected)
-    if type(node_count) is not int or not 1 <= node_count < 2**30:
+    if type(node_count) is not int or not 1 <= node_count < COUNT_LIMIT:  # no bools
         raise _manifest_error("node_count", "must be a positive integer below 2^30")
     series = doc.get("series")
     if not isinstance(series, list) or not series:
@@ -395,21 +397,6 @@ def load_manifest(path):
     )
 
 
-def save_manifest(manifest, path):
-    """Write a manifest back to JSON (paths stay relative)."""
-    doc = {
-        "format_version": manifest.format_version,
-        "node_count": manifest.node_count,
-        "series": [
-            {"graphs": list(graphs), "response": response}
-            for graphs, response in zip(manifest.series_paths, manifest.responses)
-        ],
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _format_cell(value):
     if isinstance(value, np.generic):
         value = value.item()
@@ -454,7 +441,7 @@ def _parse_cell(path, line, column, parser, text):
         raise ValidationError(f"{path}: line {line}, column {column}: {exc}") from exc
 
 
-def read_csv_rows(path, expected_columns=None):
+def read_csv_rows(path):
     """Read a CSV written by emit_csv back into a list of dicts (strings).
 
     Every row must have as many fields as the header.
@@ -464,8 +451,6 @@ def read_csv_rows(path, expected_columns=None):
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"{path}: empty file")
-        if expected_columns is not None and tuple(header) != tuple(expected_columns):
-            raise ValidationError(f"{path}: unexpected header {header}")
         rows = []
         for row in reader:
             if len(row) != len(header):
@@ -576,16 +561,3 @@ def write_embeddings_csv(path, embedding, responses):
     )
     emit_csv(rows, path, EMBEDDING_COLUMNS)
 
-
-def load_embeddings_csv(path):
-    """Inverse of write_embeddings_csv; absent responses come back as None."""
-    _, rows = read_csv_rows(path, EMBEDDING_COLUMNS)
-    embedding = []
-    responses = []
-    for line, row in enumerate(rows, start=2):
-        embedding.append(_parse_cell(path, line, "z_hat", float, row["z_hat"]))
-        response = row["response"]
-        responses.append(
-            _parse_cell(path, line, "response", float, response) if response else None
-        )
-    return embedding, responses

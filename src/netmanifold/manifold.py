@@ -189,7 +189,7 @@ def smacof_minimize(delta, z0):
     return z, StressTrace(values=tuple(trace), converged=converged)
 
 
-def isomap_1d(points, radius, l, full_output=False):
+def isomap_1d(points, radius, l):
     """Embed the first l of the given points into one dimension.
 
     Composition: localization graph on all given points, shortest paths from
@@ -197,7 +197,9 @@ def isomap_1d(points, radius, l, full_output=False):
     majorization. Callers restricting the manifold-learning set pass the
     slice themselves.
 
-    With full_output=True returns (embedding, StressTrace, dissimilarities).
+    Returns (embedding, StressTrace, dissimilarities): the centered 1-D
+    configuration of the first l points, the raw stress of each SMACOF step,
+    and the l x l shortest-path dissimilarities it was fitted to.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -208,6 +210,4 @@ def isomap_1d(points, radius, l, full_output=False):
     delta = shortest_path_matrix(graph, l)
     z0 = cmds_embed(delta)
     z, trace = smacof_minimize(delta, z0)
-    if full_output:
-        return z, trace, delta
-    return z
+    return z, trace, delta

@@ -15,21 +15,6 @@ import numpy as np
 
 from . import eigen
 from .errors import SparsityError, ValidationError
-from .graphs import GraphStore
-from .manifold import point_distances
-
-
-def top_left_singular_vectors(a, d):
-    """Top-d left singular vectors of a finite symmetric (n, n) matrix, 1 <= d <= n.
-
-    The sign-canonical eigenvectors of largest modulus (eigen.top_eigenpairs);
-    ValidationError on other input, a warning on a d/(d+1) tie.
-    """
-    a = eigen.square_matrix(a)
-    n = a.shape[0]
-    if not 1 <= d <= n:
-        raise ValidationError(f"d={d} must satisfy 1 <= d <= n={n}")
-    return eigen.top_eigenpairs(a, d)[1]
 
 
 def joint_subspace(bases, d):
@@ -57,14 +42,12 @@ def estimate_sparsity(collection):
 def project_scores(graphs, basis, sparsity):
     """Score matrices (1/rho) V̂ᵀ A^(k) V̂ for one fixed basis.
 
-    graphs is a GraphStore, whose graphs are projected by GraphStore.map, or a
-    sequence of float (n, n) arrays; float32 ones (0/1 only) by eigen.product.
+    graphs is a GraphStore; GraphStore.map hands each graph over, and float32
+    ones (0/1 only, above SPREAD_MIN_N nodes) are multiplied by eigen.product.
     The product is symmetrized: floating point leaves ~1e-11 asymmetry at n ~ 1000.
     """
     if sparsity <= 0.0:
         raise SparsityError("sparsity must be positive to scale scores")
-    if not isinstance(graphs, GraphStore):
-        graphs = GraphStore(graphs, basis.shape[0], binary=False)
 
     def score(a, _):
         left = eigen.product(a, basis).T if a.dtype == np.float32 else basis.T @ a
@@ -148,11 +131,3 @@ def coords_matrix(stack, upper_triangle=False):
         return np.ascontiguousarray(stack[:, rows, cols])
     return stack.transpose(0, 2, 1).reshape(len(stack), -1)
 
-
-def pairwise_frobenius(points):
-    """Frobenius distances within an (N, d, d) stack or (N, D) vectorized points."""
-    x = np.asarray(points, dtype=float)
-    dist = point_distances(x.reshape(len(x), -1))
-    dist = (dist + dist.T) / 2.0
-    np.fill_diagonal(dist, 0.0)
-    return dist

@@ -25,6 +25,7 @@ import json
 import logging
 import math
 import os
+import sys
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -87,7 +88,6 @@ class PredictDiagnostics:
 
     sparsity: float
     stress: StressTrace
-    embedding: np.ndarray
 
 
 def _embed_collection(
@@ -104,8 +104,8 @@ def _embed_collection(
     scores, rho = sparse_mase(collection, d, sparsity=sparsity)
     stack = scaled_score_points(scores, collection.node_count)
     x = coords_matrix(stack, upper_triangle=upper_triangle)
-    z, trace, _ = isomap_1d(x[:n_star], radius, l, full_output=True)
-    return z, PredictDiagnostics(sparsity=rho, stress=trace, embedding=z), x
+    z, trace, _ = isomap_1d(x[:n_star], radius, l)
+    return z, PredictDiagnostics(sparsity=rho, stress=trace), x
 
 
 def predict_from_embeddings(embedding, responses, r):
@@ -193,10 +193,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("consistency", "power"):
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
+        for f in dataclasses.fields(self):
+            # False for NaN, infinities and JSON integers beyond the float range
+            if f.type == "float" and not abs(getattr(self, f.name)) <= sys.float_info.max:
+                raise ValidationError(f"{f.name} must be a finite number")
         if not self.k_values:
             raise ValidationError("k_values must be non-empty")
-        if any(int(k) != k or k < 1 for k in self.k_values):
-            raise ValidationError("k_values must be integers >= 1")
+        if any(int(k) != k or not 1 <= k < io.COUNT_LIMIT for k in self.k_values):
+            raise ValidationError("k_values must be integers in [1, 2^30)")
+        if len(set(self.k_values)) != len(self.k_values):
+            raise ValidationError("k_values must not repeat")
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}")
         if self.s < 2:
@@ -212,22 +218,19 @@ class ExperimentConfig:
             raise ValidationError("mc_replicates must be >= 1")
         if not 0 <= self.base_seed < 2**64:
             raise ValidationError("base_seed must lie in [0, 2^64)")
-        if not 0.0 < self.lambda_base < math.inf or not 0.0 < self.lambda_decay <= 1.0:
-            raise ValidationError(
-                "need a finite lambda_base > 0 and lambda_decay in (0, 1]"
-            )
+        if not self.lambda_base > 0.0 or not 0.0 < self.lambda_decay <= 1.0:
+            raise ValidationError("need lambda_base > 0 and lambda_decay in (0, 1]")
         if not 0.0 < self.isomap_exponent <= 1.0:
             raise ValidationError("isomap_exponent must lie in (0, 1]")
-        if not 0.0 <= self.sigma_eps < math.inf:
-            raise ValidationError("sigma_eps must be finite and non-negative")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValidationError("alpha and beta must be finite")
+        if self.sigma_eps < 0.0:
+            raise ValidationError("sigma_eps must be non-negative")
         for k in self.k_values:
+            # a graph count below 1 has no real n_star (N ** exponent)
+            if not 1 <= self.graphs_base + self.graphs_step * (k - 1) < io.COUNT_LIMIT:
+                raise ValidationError(f"K={k}: the graph count must lie in [1, 2^30)")
             entry = self.schedule(k)
-            if entry.n < 2 or entry.n % 2 != 0:
-                raise ValidationError(
-                    f"K={k}: node count {entry.n} must be even and >= 2"
-                )
+            if not 2 <= entry.n < io.COUNT_LIMIT or entry.n % 2 != 0:
+                raise ValidationError(f"K={k}: the node count must be even and in [2, 2^30)")
             if entry.n < self.d:
                 raise ValidationError(f"K={k}: node count below d={self.d}")
             if entry.n_star < self.l:
@@ -334,7 +337,6 @@ class ExperimentResult:
     config: ExperimentConfig
     records: tuple
     summaries: tuple
-    runtime_seconds: float = field(compare=False, default=0.0)
     csv_paths: dict = field(compare=False, default_factory=dict)
 
 
@@ -487,7 +489,6 @@ def _run_experiment(config, kind, threads, out_dir):
         config=config,
         records=tuple(records),
         summaries=tuple(summaries),
-        runtime_seconds=elapsed,
         csv_paths=csv_paths,
     )
 

@@ -18,8 +18,6 @@ class RegressionFit:
     intercept: float
     slope: float
     sample_size: int
-    regressor_mean: float
-    response_mean: float
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,8 @@ def fit_slr(zs, ys):
     """Least squares slope and intercept of ys on zs.
 
     b̂ = sum (y - ȳ)(z - z̄) / sum (z - z̄)^2 and â = ȳ - b̂ z̄. Raises
-    DegenerateDesignError when the regressors carry no variation.
+    DegenerateDesignError when the regressors carry no variation, or when
+    these sums overflow (data near the float limit).
     """
     z = _as_1d("regressors", zs)
     y = _as_1d("responses", ys)
@@ -56,19 +55,18 @@ def fit_slr(zs, ys):
         raise ValidationError("regressors and responses must have equal length")
     if z.size < 2:
         raise ValidationError("need at least two points to fit a line")
-    z_mean = z.mean()
-    y_mean = y.mean()
-    denom = float(((z - z_mean) ** 2).sum())
-    if denom == 0.0:
-        raise DegenerateDesignError("regressors are all identical; slope undefined")
-    slope = float(((y - y_mean) * (z - z_mean)).sum()) / denom
-    return RegressionFit(
-        intercept=float(y_mean - slope * z_mean),
-        slope=float(slope),
-        sample_size=int(z.size),
-        regressor_mean=float(z_mean),
-        response_mean=float(y_mean),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        z_mean = z.mean()
+        y_mean = y.mean()
+        denom = float(((z - z_mean) ** 2).sum())
+        if denom == 0.0:
+            raise DegenerateDesignError("regressors are all identical; slope undefined")
+        slope = float(((y - y_mean) * (z - z_mean)).sum()) / denom
+        intercept = float(y_mean - slope * z_mean)
+    # a non-finite slope or mean makes the intercept non-finite
+    if not (math.isfinite(denom) and math.isfinite(intercept)):
+        raise DegenerateDesignError("the least-squares sums overflow; rescale the data")
+    return RegressionFit(intercept=intercept, slope=slope, sample_size=int(z.size))
 
 
 def predict_slr(fit, z):

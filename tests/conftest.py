@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from netmanifold import blas, sample_collection
+from netmanifold import blas, graphs, sample_collection
 
 
 def build_weighted_dataset(
@@ -62,6 +62,12 @@ def build_weighted_dataset(
         )
         fh.write("\n")
     return manifest_path, ts
+
+
+def sample_levels(p, seed):
+    """The sampler's float graph on per-entry levels: edge {i, j}, i < j, iff u_ij < p[i, j]."""
+    a, mirror = np.empty((2, *p.shape), dtype=bool)
+    return graphs._sample_upper(p, np.arange(len(p)), seed, a, mirror).astype(float)
 
 
 # Edge-list texts for hypothesis: plain rows (ASCII-digit ids, decimal weights,

@@ -27,15 +27,11 @@ from netmanifold import (
     smacof_minimize,
     sparse_mase,
 )
+from netmanifold.eigen import top_eigenpairs
 from netmanifold.graphs import CURVE_A_DIAG_SCALE, CURVE_A_OFFDIAG_SCALE
 from netmanifold.io import censor_binarize, load_weighted_edge_list
-from netmanifold.mase import (
-    joint_subspace,
-    pairwise_frobenius,
-    project_scores,
-    scaled_score_points,
-    top_left_singular_vectors,
-)
+from netmanifold.manifold import point_distances
+from netmanifold.mase import joint_subspace, project_scores, scaled_score_points
 from netmanifold.pipeline import (
     analyze_real_dataset,
     consistency_reduced_config,
@@ -73,7 +69,7 @@ def _score_distance_error(seed):
     ts = rng.uniform(0.25, 1.0, 30)
     collection = sample_collection(ts, 800, "curve-A", seed)
     scores, _ = sparse_mase(collection, 2, sparsity=1.0)
-    estimated = pairwise_frobenius(scaled_score_points(scores[:6], 800))
+    estimated = point_distances(scaled_score_points(scores[:6], 800).reshape(6, -1))
     truth = np.abs(ts[:6, None] - ts[None, :6]) / 2.0
     return float(np.abs(estimated - truth).max())
 
@@ -146,7 +142,7 @@ def test_criterion_5_geodesic_fidelity(capsys):
     )
     ts = np.concatenate([np.linspace(0.25, 1.0, 6), np.linspace(0.25, 1.0, 194)])
     points = ts[:, None] * direction
-    z, _, delta = isomap_1d(points, radius=0.05, l=6, full_output=True)
+    z, _, delta = isomap_1d(points, radius=0.05, l=6)
     truth = np.abs(ts[:6, None] - ts[None, :6])
     within_band = bool(
         np.all(delta <= 1.05 * truth + 1e-12)
@@ -277,14 +273,14 @@ def test_criterion_10_invariance_suite(capsys):
     ts = rng.uniform(0.25, 1.0, 8)
     collection = sample_collection(ts, 100, "curve-A", 321)
     basis = joint_subspace(
-        [top_left_singular_vectors(a, 2) for a in collection.graphs], 2
+        [top_eigenpairs(a, 2)[1] for a in collection.graphs], 2
     )
     w, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    plain = pairwise_frobenius(
-        scaled_score_points(project_scores(collection.graphs, basis, 1.0), 100)
+    plain = point_distances(
+        scaled_score_points(project_scores(collection.graphs, basis, 1.0), 100).reshape(8, -1)
     )
-    rotated = pairwise_frobenius(
-        scaled_score_points(project_scores(collection.graphs, basis @ w, 1.0), 100)
+    rotated = point_distances(
+        scaled_score_points(project_scores(collection.graphs, basis @ w, 1.0), 100).reshape(8, -1)
     )
     rotation_err = float(np.abs(plain - rotated).max())
     # raw stress is exactly blind to a global sign flip

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -388,6 +389,7 @@ def test_analyze_nstar_above_series_count_exits_2(weighted_dataset, capsys):
         "non-utf8-manifest",
         "non-utf8-edge-list",
         "non-utf8-config",
+        "long-integer-config",
         "bool-node-count",
         "zero-threads",
         "negative-threads",
@@ -418,6 +420,8 @@ def test_bad_inputs_exit_2_without_traceback(
         bad.write_text(json.dumps(doc))
     elif case == "non-utf8-config":
         bad.write_bytes(b'{"format_version": 1, "s": "\xe9"}')
+    elif case == "long-integer-config":  # past Python's 4300-digit int parsing limit
+        bad.write_text('{"format_version": 1, "alpha": ' + "9" * 5000 + "}")
     elif case == "bool-node-count":
         argv, expected = analyze, "node_count: must be a positive integer"
         doc["node_count"] = True
@@ -692,5 +696,113 @@ def test_cli_exit_codes_under_fuzzed_manifests(weighted_dataset, tmp_path_factor
         assert code in (0, 2, 3), (argv, manifest, output)
         assert "Traceback" not in output
         assert "=nan" not in output
+
+    run()
+
+
+# Config values that are wrong in kind or range, or too large for numpy or
+# for floats. None of them, in any combination with the base configs, is an
+# accepted schedule with more than 100 nodes, 15 graphs or 2 replicates:
+# accepted large counts would really be allocated and run.
+_HUGE = [2**70, 10**400, -(10**400)]
+_WILD_CONFIG_VALUES = {
+    "experiment": st.sampled_from(["power", "consistency", "sweep"]),
+    "format_version": st.sampled_from([0, 2, 1.0]),
+    "k_values": st.sampled_from([[], [0], [1, 1], [2], [1, 2], [2**30], [2**70], [1.0]]),
+    "nodes_base": st.sampled_from([0, -2, 3, 2, 2**30, *_HUGE, 1e3]),
+    "nodes_step": st.sampled_from([-4, -100, 0, 1, 2**70, 10**400]),
+    "graphs_base": st.sampled_from([0, -5, 1, 2**30, *_HUGE]),
+    "graphs_step": st.sampled_from([-1, -100, 0, 2**70]),
+    "mc_replicates": st.sampled_from([0, -1, 2, 1.5]),
+    "base_seed": st.sampled_from([-1, 2**64, 2**64 - 1, 2**70]),
+    "d": st.sampled_from([0, -1, 1, 3, 2**70]),
+    "s": st.sampled_from([0, 2, 3, 7, 2**70]),
+    "l": st.sampled_from([0, 2, 3, 11, 2**70]),
+    "r": st.sampled_from([0, 1, 7, 2**70]),
+    "variant": st.sampled_from(["curve-A", "curve-B", "curve-C"]),
+}
+for _key in (
+    "alpha", "beta", "sigma_eps", "lambda_base", "lambda_decay", "isomap_exponent", "level"
+):
+    _WILD_CONFIG_VALUES[_key] = st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0, -1, 1, 5e-324, 1e-300, 0.5, 1e308, -1e308, *_HUGE]
+    )
+
+
+@st.composite
+def _mutated_configs(draw, doc):
+    """doc after one to three edits, each a value replaced (three in four by a
+    wild value of the key, else by junk), a key dropped or an unknown key added."""
+    doc = dict(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(_WILD_CONFIG_VALUES)))
+        edit = draw(st.sampled_from(["wild"] * 6 + ["junk", "junk", "drop", "extra"]))
+        if edit == "drop":
+            doc.pop(key, None)
+        elif edit == "extra":
+            doc[draw(st.sampled_from(["extra", "Alpha", "kind"]))] = draw(_JUNK)
+        else:
+            doc[key] = draw(_WILD_CONFIG_VALUES[key] if edit == "wild" else _JUNK)
+    return doc
+
+
+def _config_doc(config):
+    return {
+        "experiment" if f.name == "kind" else f.name: getattr(config, f.name)
+        for f in dataclasses.fields(config)
+        if getattr(config, f.name) is not None
+    } | {"format_version": 1}
+
+
+# K=1 of the power preset (16 nodes, 12 graphs) and a consistency schedule of
+# 40 nodes and 10 graphs at K=1, one replicate each.
+_POWER_DOC = _config_doc(power_full_config(k_values=(1,), mc_replicates=1))
+_CONSISTENCY_DOC = _config_doc(
+    consistency_full_config(
+        k_values=(1,), nodes_base=40, nodes_step=10, graphs_base=10, graphs_step=1,
+        isomap_exponent=1.0, mc_replicates=1,
+    )
+)
+
+
+def test_cli_exit_codes_under_fuzzed_configs(tmp_path_factory):
+    """Any --config contents end simulate in exit 0, 2 or 3, never in a
+    traceback; a statistic prints as nan only for a K without valid replicates.
+    The examples are the defects this test found: float fields given integers
+    beyond the float range, node and graph counts numpy cannot allocate or
+    describe, a negative graph count (complex n_star), a repeated K, and
+    responses whose mean overflows the line fit (a valid sq_gap of NaN)."""
+    root = tmp_path_factory.mktemp("configs")
+    path = str(root / "config.json")
+    power = ["simulate", "power", "--config", path, "--out", str(root / "out")]
+    consistency = ["simulate", "consistency", "--config", path, "--out", str(root / "out")]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([(_POWER_DOC, power), (_CONSISTENCY_DOC, consistency)]).flatmap(
+            lambda pair: st.tuples(_mutated_configs(pair[0]), st.just(pair[1]))
+        )
+    )
+    @example(({**_POWER_DOC, "alpha": 10**400}, power))
+    @example(({**_POWER_DOC, "sigma_eps": 10**400}, power))
+    @example(({**_CONSISTENCY_DOC, "lambda_base": 10**400}, consistency))
+    @example(({**_POWER_DOC, "nodes_base": 2**70}, power))
+    @example(({**_POWER_DOC, "graphs_base": 2**70}, power))
+    @example(({**_POWER_DOC, "k_values": [2**70]}, power))
+    @example(({**_POWER_DOC, "graphs_base": -5}, power))
+    @example(({**_CONSISTENCY_DOC, "k_values": [1, 1]}, consistency))
+    @example(({**_CONSISTENCY_DOC, "alpha": 1e308}, consistency))
+    def run(case):
+        doc, argv = case
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, output = _exit_code(argv)
+        assert code in (0, 2, 3), (doc, output)
+        assert "Traceback" not in output
+        if code == 0:
+            assert output.count("valid=") == len(doc["k_values"]), (doc, output)
+        assert all("valid=0/" in line for line in output.splitlines() if "=nan" in line), (
+            doc, output,
+        )
 
     run()

@@ -26,7 +26,6 @@ from netmanifold import (
     smacof_minimize,
 )
 from netmanifold import eigen
-from netmanifold.mase import top_left_singular_vectors
 
 
 def _centered_gram(l, top, seed):
@@ -109,14 +108,12 @@ def test_cmds_above_dense_crossover_agrees_with_eigh():
 @pytest.mark.parametrize(
     "solve, args",
     [
-        (top_left_singular_vectors, (3.0, 1)),
-        (top_left_singular_vectors, (np.full((3, 3), np.nan), 1)),
         (cmds_embed, (np.ones((2, 3)),)),
         (cmds_embed, (np.array(1.0),)),
         (cmds_embed, (np.zeros((0, 0)),)),
         (cmds_embed, (np.full((3, 3), np.nan),)),
     ],
-    ids=["svd-scalar", "svd-nan", "cmds-2x3", "cmds-0d", "cmds-empty", "cmds-nan"],
+    ids=["cmds-2x3", "cmds-0d", "cmds-empty", "cmds-nan"],
 )
 def test_eigen_entry_points_reject_bad_input(solve, args):
     with pytest.raises(ValidationError):

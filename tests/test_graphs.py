@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sample_levels
 from netmanifold import (
-    CosieParameters,
     GraphCollection,
     ValidationError,
     balanced_membership,
     build_block_probability,
-    msbm_to_cosie,
     noiseless_collection,
     probability_matrix,
-    sample_adjacency,
     sample_collection,
 )
 from netmanifold import graphs as graphs_module
@@ -23,7 +21,6 @@ from netmanifold.graphs import (
     CURVE_A_OFFDIAG_SCALE,
     VARIANTS,
     GraphStore,
-    membership_onehot,
 )
 
 
@@ -72,9 +69,6 @@ def test_block_probability_rejects_bad_inputs():
 def test_balanced_membership_and_onehot():
     assignment = balanced_membership(6, 2)
     assert assignment.tolist() == [0, 0, 0, 1, 1, 1]
-    z = membership_onehot(assignment)
-    assert np.array_equal(z.T @ z, np.diag([3.0, 3.0]))
-    assert np.array_equal(z.sum(axis=1), np.ones(6))
 
 
 def test_balanced_membership_requires_divisibility():
@@ -108,16 +102,16 @@ def test_probability_matrix_validation():
 
 
 def test_sample_adjacency_extremes():
-    assert np.array_equal(sample_adjacency(np.zeros((5, 5)), 1), np.zeros((5, 5)))
+    assert np.array_equal(sample_levels(np.zeros((5, 5)), 1), np.zeros((5, 5)))
     complete = np.ones((5, 5)) - np.eye(5)
-    assert np.array_equal(sample_adjacency(complete, 1), complete)
+    assert np.array_equal(sample_levels(complete, 1), complete)
 
 
 def test_sample_adjacency_density_concentration():
     """Edge density of P = 0.3 graphs concentrates (binomial, 4 sigma)."""
     n = 1000
     p = np.full((n, n), 0.3)
-    a = sample_adjacency(p, 12345)
+    a = sample_levels(p, 12345)
     m = n * (n - 1) / 2
     density = a[np.triu_indices(n, 1)].mean()
     assert abs(density - 0.3) < 4.0 * np.sqrt(0.3 * 0.7 / m)
@@ -125,56 +119,21 @@ def test_sample_adjacency_density_concentration():
 
 def test_sample_adjacency_invariants_and_determinism():
     p = probability_matrix(balanced_membership(20, 2), np.array([[0.8, 0.3], [0.3, 0.8]]))
-    a = sample_adjacency(p, 77)
+    a = sample_levels(p, 77)
     assert np.array_equal(a, a.T)
     assert np.array_equal(np.diag(a), np.zeros(20))
     assert set(np.unique(a)) <= {0.0, 1.0}
-    assert np.array_equal(a, sample_adjacency(p, 77))
-    assert not np.array_equal(a, sample_adjacency(p, 78))
+    assert np.array_equal(a, sample_levels(p, 77))
+    assert not np.array_equal(a, sample_levels(p, 78))
 
 
 def test_sample_adjacency_seed_validation():
     with pytest.raises(ValidationError):
-        sample_adjacency(np.zeros((2, 2)), -1)
+        sample_levels(np.zeros((2, 2)), -1)
     with pytest.raises(ValidationError):
-        sample_adjacency(np.zeros((2, 2)), 2**64)
+        sample_levels(np.zeros((2, 2)), 2**64)
     with pytest.raises(ValidationError):
-        sample_adjacency(np.zeros((2, 2)), 1.5)
-
-
-def test_msbm_to_cosie_balanced_identity():
-    # n=4, K=2, B = 0.5 I: (Z'Z)^{1/2} B (Z'Z)^{1/2} = 2B = I
-    params = msbm_to_cosie([0, 0, 1, 1], [0.5 * np.eye(2)])
-    assert np.array_equal(params.scores[0], np.eye(2))
-    v = params.subspace
-    assert np.abs(v.T @ v - np.eye(2)).max() < 1e-15
-
-
-def test_msbm_to_cosie_reconstructs_probability_matrix():
-    assignment = balanced_membership(10, 2)
-    block = build_block_probability(0.7, "curve-A")
-    params = msbm_to_cosie(assignment, [block])
-    p = probability_matrix(assignment, block)
-    v = params.subspace
-    assert np.abs(v @ params.scores[0] @ v.T - p).max() < 1e-12
-
-
-def test_msbm_to_cosie_scaled_scores_are_half_the_block():
-    """Balanced 2-block: R/n = B/2 holds bitwise (integer sqrt products)."""
-    assignment = balanced_membership(8, 2)
-    block = build_block_probability(0.5, "curve-B")
-    params = msbm_to_cosie(assignment, [block])
-    assert np.array_equal(params.scores[0] / 8.0, block / 2.0)
-
-
-def test_msbm_to_cosie_rejects_empty_community():
-    with pytest.raises(ValidationError):
-        msbm_to_cosie([0, 0, 2, 2], [np.eye(3) * 0.5])
-
-
-def test_cosie_parameters_checks_orthonormality():
-    with pytest.raises(ValidationError):
-        CosieParameters(subspace=np.ones((4, 2)), scores=(np.eye(2),))
+        sample_levels(np.zeros((2, 2)), 1.5)
 
 
 def test_graph_collection_validation():
@@ -195,7 +154,7 @@ def test_graph_collection_validation():
 
 
 def _reference_sample_adjacency(p, seed):
-    """sample_adjacency before the packed store, kept as the oracle.
+    """The sampler before the packed store, kept as the oracle.
 
     The body is verbatim except that the seed goes to Philox unchecked.
     """
@@ -224,18 +183,19 @@ def _reference_sample_adjacency(p, seed):
 def test_sampler_matches_reference(seed, n, variant, ts):
     """Both samplers give exactly the graphs of the triu-gather sampler.
 
-    sample_adjacency runs on odd and even n, on block-label P with a nonzero
-    diagonal and on an arbitrary asymmetric P; sample_collection on 2n nodes.
+    The sampler with per-entry levels (sample_levels) runs on odd and even n, on
+    block-label P with a nonzero diagonal and on an arbitrary asymmetric P;
+    sample_collection on 2n nodes.
     """
     labels = np.arange(n) % 2
     arbitrary = np.random.default_rng(seed % 2**32).random((n, n))
     for t in ts:
         p = probability_matrix(labels, build_block_probability(t, variant))
         assert np.array_equal(
-            sample_adjacency(p, seed), _reference_sample_adjacency(p, seed)
+            sample_levels(p, seed), _reference_sample_adjacency(p, seed)
         )
     assert np.array_equal(
-        sample_adjacency(arbitrary, seed), _reference_sample_adjacency(arbitrary, seed)
+        sample_levels(arbitrary, seed), _reference_sample_adjacency(arbitrary, seed)
     )
     coll = sample_collection(ts, 2 * n, variant, seed)
     assignment = balanced_membership(2 * n, 2)
@@ -289,7 +249,7 @@ def test_integer_thresholds_match_float_draws(seed, n, picks, grid, chunk):
     p = np.zeros((n, n))
     p[iu] = levels[pick, np.arange(u.size)]
     with mock.patch.object(graphs_module, "_CHUNK_DRAWS", chunk):
-        got = sample_adjacency(p, seed)
+        got = sample_levels(p, seed)
     assert np.array_equal(got, _reference_sample_adjacency(p, seed))
 
 
@@ -360,7 +320,7 @@ def test_sample_collection_per_graph_seeding():
     assignment = balanced_membership(10, 2)
     for k, t in enumerate(ts):
         p = probability_matrix(assignment, build_block_probability(t, "curve-B"))
-        assert np.array_equal(coll.graphs[k], sample_adjacency(p, 100 ^ k))
+        assert np.array_equal(coll.graphs[k], sample_levels(p, 100 ^ k))
     assert coll.responses == (1.0, 2.0)
     assert coll.true_regressors == (0.4, 0.9, 0.6)
     assert not coll.noiseless

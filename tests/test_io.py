@@ -17,7 +17,6 @@ from netmanifold import (
     load_manifest,
     load_replicate_records,
     load_weighted_edge_list,
-    save_manifest,
     write_replicate_records,
 )
 from netmanifold.io import (
@@ -25,7 +24,6 @@ from netmanifold.io import (
     SYMMETRIZE_RULES,
     WeightedDigraph,
     emit_csv,
-    load_embeddings_csv,
     read_csv_rows,
     write_embeddings_csv,
 )
@@ -410,17 +408,6 @@ def test_manifest_errors(tmp_path):
         load_manifest(tmp_path / "bad.json")
 
 
-def test_manifest_save_load_round_trip(tmp_path, weighted_dataset):
-    manifest_path, _ = weighted_dataset
-    manifest = load_manifest(manifest_path)
-    out = tmp_path / "copy.json"
-    save_manifest(manifest, out)
-    again = load_manifest(out)
-    assert again.series_paths == manifest.series_paths
-    assert again.responses == manifest.responses
-    assert again.node_count == manifest.node_count
-
-
 def test_emit_csv_deterministic_bytes(tmp_path):
     rows = [(math.pi, True, None, 3), (-0.1, False, "x", -7)]
     path = tmp_path / "t.csv"
@@ -438,10 +425,9 @@ def test_emit_csv_empty_rows(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], path, ("x", "y"))
     assert path.read_bytes() == b"x,y\n"
-    header, rows = read_csv_rows(path, ("x", "y"))
+    header, rows = read_csv_rows(path)
+    assert header == ("x", "y")
     assert rows == []
-    with pytest.raises(ValidationError, match="unexpected header"):
-        read_csv_rows(path, ("x", "z"))
 
 
 def test_emit_csv_rejects_rows_of_another_length(tmp_path):
@@ -538,25 +524,8 @@ def test_power_schema_pinned_when_all_failed(tmp_path):
 def test_embeddings_csv_round_trip(tmp_path):
     path = tmp_path / "emb.csv"
     write_embeddings_csv(path, np.array([0.5, -0.25, 1.0]), [7.0, 8.0])
-    header, rows = read_csv_rows(path, EMBEDDING_COLUMNS)
+    header, rows = read_csv_rows(path)
+    assert header == EMBEDDING_COLUMNS
     assert [r["index"] for r in rows] == ["0", "1", "2"]
-    embedding, responses = load_embeddings_csv(path)
-    assert embedding == [0.5, -0.25, 1.0]
-    assert responses == [7.0, 8.0, None]
-
-
-@pytest.mark.parametrize(
-    "old, new, message",
-    [
-        (b"\n1,-0.25,", b"\n1,x,", "line 3, column z_hat: "),
-        (b",8.0\n", b",y\n", "line 3, column response: "),
-    ],
-    ids=["bad-z-hat", "bad-response"],
-)
-def test_load_embeddings_csv_rejects_bad_cells(tmp_path, old, new, message):
-    path = tmp_path / "emb.csv"
-    write_embeddings_csv(path, np.array([0.5, -0.25, 1.0]), [7.0, 8.0])
-    path.write_bytes(path.read_bytes().replace(old, new, 1))
-    with pytest.raises(ValidationError, match=message) as excinfo:
-        load_embeddings_csv(path)
-    assert str(path) in str(excinfo.value)
+    assert [float(r["z_hat"]) for r in rows] == [0.5, -0.25, 1.0]
+    assert [r["response"] for r in rows] == ["7.0", "8.0", ""]

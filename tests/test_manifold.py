@@ -293,7 +293,7 @@ def test_smacof_validation():
 
 
 def test_isomap_single_source():
-    z = isomap_1d(np.array([[0.0], [1.0]]), 5.0, 1)
+    z, _, _ = isomap_1d(np.array([[0.0], [1.0]]), 5.0, 1)
     assert np.array_equal(z, np.zeros(1))
 
 
@@ -302,7 +302,7 @@ def test_isomap_straight_segment_exact():
     truth = np.linspace(0.0, 3.0, 7)
     points = np.stack([truth, 2.0 * truth], axis=1)  # a line in R^2
     gaps = np.linalg.norm(points[1] - points[0])
-    z, trace, delta = isomap_1d(points, gaps * 1.1, 7, full_output=True)
+    z, trace, delta = isomap_1d(points, gaps * 1.1, 7)
     chord = np.sqrt(5.0) * np.abs(truth[:, None] - truth[None, :])
     assert np.abs(np.abs(z[:, None] - z[None, :]) - chord).max() < 1e-6
     assert np.abs(delta - chord).max() < 1e-9
@@ -320,7 +320,7 @@ def test_isomap_curve_a_geodesic_fidelity_small():
         ]
     )
     points = ts[:, None] * direction[None, :]
-    z, trace, delta = isomap_1d(points, 0.1, 6, full_output=True)
+    z, trace, delta = isomap_1d(points, 0.1, 6)
     geodesic = np.abs(ts[:6, None] - ts[None, :6])
     off = ~np.eye(6, dtype=bool)
     assert (np.abs(delta - geodesic)[off] <= 0.05 * geodesic[off]).all()

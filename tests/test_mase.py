@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sample_levels
 from netmanifold import (
     GraphCollection,
     SparsityError,
@@ -14,18 +15,17 @@ from netmanifold import (
     build_block_probability,
     coords_matrix,
     noiseless_collection,
-    pairwise_frobenius,
     sample_collection,
     scaled_score_points,
     sparse_mase,
 )
 from netmanifold import blas, eigen
 from netmanifold.eigen import canonical_signs
+from netmanifold.manifold import point_distances
 from netmanifold.mase import (
     estimate_sparsity,
     joint_subspace,
     project_scores,
-    top_left_singular_vectors,
 )
 
 
@@ -79,11 +79,9 @@ def test_estimate_sparsity_matches_upper_triangle_gather(n, n_graphs, density, s
 
 def test_estimate_sparsity_concentrates_on_constant_model():
     """|rho_hat - rho| stays within 3 binomial standard errors."""
-    from netmanifold import probability_matrix, sample_adjacency
-
     n, n_graphs, rho = 200, 5, 0.3
     p = np.full((n, n), rho)
-    graphs = tuple(sample_adjacency(p, 500 + k) for k in range(n_graphs))
+    graphs = tuple(sample_levels(p, 500 + k) for k in range(n_graphs))
     est = estimate_sparsity(GraphCollection(graphs=graphs))
     m = n_graphs * n * (n - 1) / 2
     assert abs(est - rho) < 3.0 * np.sqrt(rho * (1 - rho) / m)
@@ -123,7 +121,7 @@ def test_top_singular_vectors_two_block_span():
             [0.2, 0.2, 0.5, 0.5],
         ]
     )
-    basis = top_left_singular_vectors(p, 2)
+    basis = eigen.top_eigenpairs(p, 2)[1]
     u, _, _ = np.linalg.svd(p)
     assert np.abs(_projector(basis) - _projector(u[:, :2])).max() < 1e-12
     assert np.abs(basis.T @ basis - np.eye(2)).max() < 1e-12
@@ -133,14 +131,14 @@ def test_top_singular_vectors_orders_by_modulus():
     # eigenvalues 5 and -4: |.| order puts 5 first, -4 second, 1 last
     q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
     a = q @ np.diag([5.0, -4.0, 1.0]) @ q.T
-    basis = top_left_singular_vectors(a, 2)
+    basis = eigen.top_eigenpairs(a, 2)[1]
     assert np.abs(_projector(basis) - _projector(q[:, :2])).max() < 1e-10
 
 
 def test_top_singular_vectors_warns_on_tied_boundary():
     # [[0, 3], [3, 0]] has eigenvalues +-3: |.|-tie at the d=1 boundary
     with pytest.warns(RuntimeWarning, match="tied"):
-        top_left_singular_vectors(np.array([[0.0, 3.0], [3.0, 0.0]]), 1)
+        eigen.top_eigenpairs(np.array([[0.0, 3.0], [3.0, 0.0]]), 1)
 
 
 def test_iterative_matches_dense(monkeypatch):
@@ -155,7 +153,7 @@ def test_iterative_matches_dense(monkeypatch):
     monkeypatch.setattr(
         eigen, "_partial_eigenpairs", lambda *args: fallbacks.append(args)
     )
-    iterative = top_left_singular_vectors(a, 3)
+    iterative = eigen.top_eigenpairs(a, 3)[1]
     assert not fallbacks  # the block iteration converged on its own
     assert np.abs(_projector(dense) - _projector(iterative)).max() <= 1e-8
 
@@ -253,7 +251,7 @@ def test_iterative_route_warns_on_tied_boundary():
     eigvals = np.concatenate([[9.0, 4.0, -4.0], np.linspace(1.0, 0.1, n - 3)])
     a = (q * eigvals) @ q.T
     with pytest.warns(RuntimeWarning, match="tied"):
-        basis = top_left_singular_vectors((a + a.T) / 2.0, 2)
+        basis = eigen.top_eigenpairs((a + a.T) / 2.0, 2)[1]
     assert np.abs(basis.T @ basis - np.eye(2)).max() < 1e-12
 
 
@@ -399,7 +397,7 @@ def test_canonical_signs_fixed_point_and_flip():
 
 
 def test_joint_subspace_single_basis():
-    basis = top_left_singular_vectors(np.diag([3.0, 2.0, 1.0]), 2)
+    basis = eigen.top_eigenpairs(np.diag([3.0, 2.0, 1.0]), 2)[1]
     joint = joint_subspace([basis], 2)
     assert np.abs(_projector(joint) - _projector(basis)).max() < 1e-12
 
@@ -455,11 +453,11 @@ def test_noiseless_exact_distance_recovery():
     scores, rho = sparse_mase(coll, 2, sparsity=1.0)
     assert rho == 1.0
     points = scaled_score_points(scores, n)
-    est = pairwise_frobenius(points)
+    est = point_distances(points.reshape(6, -1))
     truth = np.array(
         [build_block_probability(t, "curve-A") / 2.0 for t in ts]
     ).reshape(6, 4)
-    expected = pairwise_frobenius(truth)
+    expected = point_distances(truth)
     assert np.abs(est - expected).max() < 1e-8
 
 
@@ -484,7 +482,7 @@ def test_sparse_mase_argument_validation():
     with pytest.raises(ValidationError):
         sparse_mase(coll, 1, sparsity=1.5)
     with pytest.raises(SparsityError):
-        project_scores([a], np.eye(3)[:, :1], 0.0)
+        project_scores(coll.graphs, np.eye(3)[:, :1], 0.0)
 
 
 def test_scaled_score_points_identity():
@@ -513,7 +511,7 @@ def test_coords_matrix_entry_order_and_layout():
 
 def test_pairwise_frobenius_hand_values():
     x = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
-    dist = pairwise_frobenius(x)
+    dist = point_distances(x)
     assert dist[0, 0] == 0.0
     assert dist[0, 1] == pytest.approx(np.sqrt(2.0), abs=1e-15)
     assert np.array_equal(dist, dist.T)
@@ -526,14 +524,14 @@ def test_rotation_invariance_of_pairwise_distances():
     n = 20
     coll = noiseless_collection(ts, n, "curve-A")
     basis = joint_subspace(
-        [top_left_singular_vectors(a, 2) for a in coll.graphs], 2
+        [eigen.top_eigenpairs(a, 2)[1] for a in coll.graphs], 2
     )
     rng = np.random.default_rng(9)
     w, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    base = pairwise_frobenius(
-        scaled_score_points(project_scores(coll.graphs, basis, 1.0), n)
+    base = point_distances(
+        scaled_score_points(project_scores(coll.graphs, basis, 1.0), n).reshape(5, -1)
     )
-    rotated = pairwise_frobenius(
-        scaled_score_points(project_scores(coll.graphs, basis @ w, 1.0), n)
+    rotated = point_distances(
+        scaled_score_points(project_scores(coll.graphs, basis @ w, 1.0), n).reshape(5, -1)
     )
     assert np.abs(base - rotated).max() < 1e-8

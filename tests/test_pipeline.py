@@ -191,6 +191,12 @@ def test_experiment_config_rejects_non_finite_numbers(key, value):
         _tiny_consistency(**{key: value})
 
 
+def test_experiment_config_rejects_repeated_k():
+    """A repeated K would run its replicates twice and write each row twice."""
+    with pytest.raises(ValidationError, match="k_values must not repeat"):
+        _tiny_consistency(k_values=(1, 2, 1))
+
+
 def test_config_json_round_trip(tmp_path):
     config = _tiny_power()
     path = tmp_path / "config.json"
@@ -508,10 +514,11 @@ def test_analyze_real_dataset_end_to_end(tmp_path, weighted_dataset):
     assert report.local_pseudo_r2 is not None
     for key in ("embeddings", "correlations", "test_report", "local_fit"):
         assert key in report.csv_paths
-    from netmanifold.io import load_embeddings_csv
+    from netmanifold.io import read_csv_rows
 
-    embedding, responses = load_embeddings_csv(report.csv_paths["embeddings"])
-    assert embedding == [float(z) for z in report.embedding]
+    _, rows = read_csv_rows(report.csv_paths["embeddings"])
+    responses = [float(row["response"]) if row["response"] else None for row in rows]
+    assert [float(row["z_hat"]) for row in rows] == [float(z) for z in report.embedding]
     assert responses[:5] == list(report.responses)
     assert responses[5:] == [None] * 5
 

@@ -66,7 +66,7 @@ def test_fit_slr_degenerate_and_validation():
 
 
 def test_predict_slr_arithmetic():
-    assert predict_slr(RegressionFit(2.0, 5.0, 2, 0.0, 2.0), 0.5) == 4.5
+    assert predict_slr(RegressionFit(2.0, 5.0, 2), 0.5) == 4.5
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,6 +176,15 @@ def test_f_test_overflowing_sums_of_squares_raise():
     not an F-statistic of NaN."""
     with pytest.raises(DegenerateDesignError, match="overflow"):
         f_test([0.0, 1.0, 2.0, 3.0], [1e308, 0.0, 1.0, 2.0])
+
+
+def test_fit_slr_overflowing_sums_raise():
+    """Responses whose mean overflows, or regressors whose squares do: an
+    error, not a line of NaN or a slope of 0."""
+    with pytest.raises(DegenerateDesignError, match="overflow"):
+        fit_slr([0.0, 1.0, 2.0], [1e308, 1e308, 1e308])
+    with pytest.raises(DegenerateDesignError, match="overflow"):
+        fit_slr([0.0, 1e200, 2e200], [0.0, 1.0, 2.0])
 
 
 def test_f_test_validation():
