@@ -54,7 +54,6 @@ from .pipeline import (
     ExperimentConfig,
     ExperimentResult,
     KSummary,
-    PredictConfig,
     PredictDiagnostics,
     ReplicateRecord,
     analyze_real_dataset,
@@ -63,7 +62,6 @@ from .pipeline import (
     consistency_reduced_config,
     experiment_config_from_json,
     experiment_config_to_json,
-    oracle_prediction,
     power_full_config,
     pred_graph_resp,
     predict_from_embeddings,
@@ -94,7 +92,6 @@ __all__ = [
     "KSummary",
     "LocalizationGraph",
     "NumericalError",
-    "PredictConfig",
     "PredictDiagnostics",
     "RegressionFit",
     "ReplicateRecord",
@@ -124,7 +121,6 @@ __all__ = [
     "load_weighted_edge_list",
     "localization_graph",
     "noiseless_collection",
-    "oracle_prediction",
     "power_full_config",
     "pred_graph_resp",
     "predict_from_embeddings",

@@ -218,10 +218,9 @@ def _dataset_collection(args, s=None):
 
 def _cmd_predict(args):
     collection = _dataset_collection(args, s=args.s)
-    config = pipeline.PredictConfig(
-        d=args.d, radius=args.lam, l=args.l, n_star=args.nstar, r=args.r
+    prediction, diagnostics = pipeline.pred_graph_resp(
+        collection, d=args.d, radius=args.lam, l=args.l, n_star=args.nstar, r=args.r
     )
-    prediction, diagnostics = pipeline.pred_graph_resp(collection, config)
     print(f"prediction: {prediction!r}")
     print(f"sparsity: {diagnostics.sparsity!r}")
     trace = diagnostics.stress

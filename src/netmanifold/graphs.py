@@ -9,7 +9,7 @@ import functools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,12 +149,14 @@ class GraphStore(Sequence):
     Binary graphs are held as packed bit rows (np.packbits along each row,
     ceil(n/8) bytes per row) and unpacked on every access, so a reader that
     takes one item at a time holds one float graph. Real-valued (noiseless)
-    graphs are held as float64 arrays. The constructor trusts its items;
-    from_arrays validates them first.
+    graphs are held as float64 arrays. The constructor trusts its items
+    but for there being at least one; from_arrays validates them first.
     """
 
     def __init__(self, items, node_count, binary):
         self._items = tuple(items)
+        if not self._items:
+            raise ValidationError("a collection needs at least one graph")
         self.node_count = node_count
         self.binary = binary
 
@@ -167,7 +169,8 @@ class GraphStore(Sequence):
         first graph that breaks a rule.
         """
         graphs = [np.asarray(a, dtype=float) for a in graphs]
-        n = graphs[0].shape[0] if graphs[0].ndim else 0
+        # no graphs at all fall through to the constructor's check
+        n = graphs[0].shape[0] if graphs and graphs[0].ndim else 0
         for k, a in enumerate(graphs):
             if n < 1 or a.shape != (n, n):
                 raise ValidationError("graphs must be square, on one node set")
@@ -238,32 +241,26 @@ class GraphStore(Sequence):
 class GraphCollection:
     """Ordered graphs on a shared node set, responses on the first s.
 
-    true_regressors holds the generating t's in simulations; real data has
-    none. Adjacency matrices are real-valued in noiseless mode, binary
-    otherwise. Matrices passed in are validated and stored in a GraphStore,
-    which graphs then holds.
+    graphs is a GraphStore; matrices passed in instead are binary, and are
+    validated and stored in one. A store of real-valued graphs makes the
+    collection noiseless (see noiseless_collection).
     """
 
     graphs: GraphStore
     responses: tuple = None
-    true_regressors: tuple = None
-    noiseless: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if len(self.graphs) == 0:
-            raise ValidationError("a collection needs at least one graph")
         if not isinstance(self.graphs, GraphStore):
-            store = GraphStore.from_arrays(self.graphs, binary=not self.noiseless)
-            object.__setattr__(self, "graphs", store)
-        elif self.graphs.binary == self.noiseless:
-            raise ValidationError(
-                "noiseless collections hold real-valued graphs, the others binary ones"
-            )
+            object.__setattr__(self, "graphs", GraphStore.from_arrays(self.graphs, binary=True))
         if self.responses is not None:
             if len(self.responses) > len(self.graphs):
                 raise ValidationError("more responses than graphs")
             if not all(math.isfinite(y) for y in self.responses):
                 raise ValidationError("responses must be finite")
+
+    @property
+    def noiseless(self):
+        return not self.graphs.binary
 
     @property
     def node_count(self):
@@ -312,7 +309,6 @@ def sample_collection(ts, n, variant, base_seed, responses=None):
     return GraphCollection(
         graphs=GraphStore(rows, n, binary=True),
         responses=None if responses is None else tuple(float(y) for y in responses),
-        true_regressors=tuple(float(t) for t in ts),
     )
 
 
@@ -324,12 +320,11 @@ def noiseless_collection(ts, n, variant, responses=None):
     of 1.0 when embedding.
     """
     assignment = balanced_membership(n, 2)
-    graphs = tuple(
-        probability_matrix(assignment, block) for block in _block_sequence(ts, variant)
+    graphs = GraphStore.from_arrays(
+        [probability_matrix(assignment, block) for block in _block_sequence(ts, variant)],
+        binary=False,
     )
     return GraphCollection(
         graphs=graphs,
         responses=None if responses is None else tuple(float(y) for y in responses),
-        true_regressors=tuple(float(t) for t in ts),
-        noiseless=True,
     )

@@ -4,12 +4,16 @@ The prediction pipeline chains the stages: score-matrix estimation over all
 N graphs, scaled-score vectorization, 1-D isomap over the first N* points,
 simple linear regression of the s labeled responses on their embeddings,
 and evaluation of the fitted line at the target index r (counted from 1).
+pred_graph_resp runs the chain with its settings as keywords; each stage
+checks its own.
 
-Experiment runners reproduce the two convergence studies: the squared gap
-between pipeline and oracle predictions across a growing schedule, and the
-power agreement of the slope F-test run on embeddings versus on the true
-regressors. Replicates are independent, seeded tasks; records are immutable
-and aggregation is deterministic regardless of thread count.
+Experiment runners reproduce the two convergence studies across a growing
+schedule. Each replicate samples its collection and embeds it once, then
+scores by kind: the squared gap between the predictions from the embedding
+and from the true regressors t (predict_from_embeddings on either), or the
+slope F-test on each of the two. Replicates are independent, seeded tasks;
+records are immutable and aggregation is deterministic regardless of thread
+count.
 
 Seeding: replicate (K, j) derives its streams from
 SeedSequence(base_seed, spawn_key=(K, j)), spawned into a draw stream (t and
@@ -53,34 +57,6 @@ DEFAULT_BASE_SEED = 20240817
 
 EXPERIMENT_FORMAT_VERSION = 1
 
-@dataclass(frozen=True)
-class PredictConfig:
-    """Knobs of one pipeline run.
-
-    radius is the localization-graph neighborhood parameter; r is the
-    1-based target index among the l embedded graphs. The sparsity override
-    exists for noiseless mode (see sparse_mase).
-    """
-
-    d: int
-    radius: float
-    l: int
-    n_star: int
-    r: int
-    sparsity: float = None
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError("d must be >= 1")
-        if not 0.0 < self.radius < math.inf:  # False for NaN
-            raise ValidationError("the neighborhood radius must be finite and positive")
-        if self.l < 1:
-            raise ValidationError("l must be >= 1")
-        if self.n_star < self.l:
-            raise ValidationError(f"n_star={self.n_star} must be >= l={self.l}")
-        if not 1 <= self.r <= self.l:
-            raise ValidationError(f"target index r={self.r} must lie in [1, l={self.l}]")
-
 
 @dataclass(frozen=True)
 class PredictDiagnostics:
@@ -101,6 +77,8 @@ def _embed_collection(
         raise ValidationError(
             f"n_star={n_star} exceeds the number of graphs {collection.n_graphs}"
         )
+    if n_star < 1:  # a negative one would slice from the end
+        raise ValidationError(f"n_star={n_star} must be >= 1")
     scores, rho = sparse_mase(collection, d, sparsity=sparsity)
     stack = scaled_score_points(scores, collection.node_count)
     x = coords_matrix(stack, upper_triangle=upper_triangle)
@@ -124,32 +102,26 @@ def predict_from_embeddings(embedding, responses, r):
     return predict_slr(fit, float(z[r - 1]))
 
 
-def pred_graph_resp(collection, config):
+def pred_graph_resp(collection, *, d, radius, l, n_star, r, sparsity=None):
     """Predict the response of the r-th graph from the whole collection.
 
-    Returns (prediction, PredictDiagnostics). The collection must carry at
-    least two responses on its leading graphs and s <= l must hold.
+    Embeds the first n_star graphs with isomap over l shortest-path sources
+    (radius is the localization-graph neighborhood parameter) from d-dimensional
+    scores, then fits the labeled responses and evaluates the line at the
+    1-based target index r. The sparsity override exists for noiseless
+    collections (see sparse_mase). Returns (prediction, PredictDiagnostics).
+    The collection must carry at least two responses on its leading graphs
+    and s <= l must hold; the later stages check the other arguments.
     """
     s = collection.n_labeled
     if s < 2:
         raise ValidationError("the collection must carry at least two responses")
-    if s > config.l:
-        raise ValidationError(f"s={s} labeled graphs exceed l={config.l}")
+    if s > l:
+        raise ValidationError(f"s={s} labeled graphs exceed l={l}")
     z, diagnostics, _ = _embed_collection(
-        collection,
-        config.d,
-        config.radius,
-        config.l,
-        config.n_star,
-        sparsity=config.sparsity,
+        collection, d, radius, l, n_star, sparsity=sparsity
     )
-    prediction = predict_from_embeddings(z, collection.responses, config.r)
-    return prediction, diagnostics
-
-
-def oracle_prediction(ts, ys, r):
-    """Prediction from the true regressors: fit on (t_k, y_k), evaluate t_r."""
-    return predict_from_embeddings(ts, ys, r)
+    return predict_from_embeddings(z, collection.responses, r), diagnostics
 
 
 @dataclass(frozen=True)
@@ -205,15 +177,16 @@ class ExperimentConfig:
             raise ValidationError("k_values must not repeat")
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}")
-        if self.s < 2:
-            raise ValidationError("s must be >= 2")
+        min_s = 3 if self.kind == "power" else 2  # the F-test needs s - 2 >= 1
+        if self.s < min_s:
+            raise ValidationError(f"s must be >= {min_s} on a {self.kind} run")
         if self.s > self.l:
             raise ValidationError(f"s={self.s} must not exceed l={self.l}")
         if self.kind == "consistency":
             if self.r is None or not 1 <= self.r <= self.l:
                 raise ValidationError("consistency runs need 1 <= r <= l")
-        if not 0.0 < self.level < 1.0:
-            raise ValidationError("level must lie in (0, 1)")
+        if not 0.0 < 1.0 - self.level < 1.0:  # the F-test's quantile is 1 - level
+            raise ValidationError("level must lie in (0, 1), with 1 - level below 1")
         if self.mc_replicates < 1:
             raise ValidationError("mc_replicates must be >= 1")
         if not 0 <= self.base_seed < 2**64:
@@ -231,8 +204,10 @@ class ExperimentConfig:
             entry = self.schedule(k)
             if not 2 <= entry.n < io.COUNT_LIMIT or entry.n % 2 != 0:
                 raise ValidationError(f"K={k}: the node count must be even and in [2, 2^30)")
-            if entry.n < self.d:
-                raise ValidationError(f"K={k}: node count below d={self.d}")
+            if not 1 <= self.d <= entry.n:
+                raise ValidationError(f"K={k}: d={self.d} must lie in [1, node count {entry.n}]")
+            if not entry.radius > 0.0:  # lambda_decay ** (K - 1) may underflow
+                raise ValidationError(f"K={k}: the radius underflows to 0")
             if entry.n_star < self.l:
                 raise ValidationError(
                     f"K={k}: n_star={entry.n_star} is below l={self.l}"
@@ -340,26 +315,14 @@ class ExperimentResult:
     csv_paths: dict = field(compare=False, default_factory=dict)
 
 
-def _consistency_scores(config, entry, collection, ts, ys):
-    """Squared gap between the pipeline prediction and the oracle's."""
-    prediction, _ = pred_graph_resp(
-        collection,
-        PredictConfig(
-            d=config.d,
-            radius=entry.radius,
-            l=config.l,
-            n_star=entry.n_star,
-            r=config.r,
-        ),
-    )
-    return dict(sq_gap=(prediction - oracle_prediction(ts, ys, config.r)) ** 2)
+def _consistency_scores(config, ts, ys, z):
+    """Squared gap between the predictions from the embedding z and from t."""
+    gap = predict_from_embeddings(z, ys, config.r) - predict_from_embeddings(ts, ys, config.r)
+    return dict(sq_gap=gap**2)
 
 
-def _power_scores(config, entry, collection, ts, ys):
-    """Slope F-tests on the true regressors and on the embedding."""
-    z, _, _ = _embed_collection(
-        collection, config.d, entry.radius, config.l, entry.n_star
-    )
+def _power_scores(config, ts, ys, z):
+    """Slope F-tests on the true regressors and on the embedding z."""
     xs = (ts[: config.s], z[: config.s])
     reports = [f_test(x, ys, config.level) for x in xs]
     fitted = [r.fit.intercept + r.fit.slope * x for r, x in zip(reports, xs)]
@@ -376,7 +339,7 @@ _SCORES = {"consistency": _consistency_scores, "power": _power_scores}
 
 
 def _replicate(config, k_index, replicate):
-    """One seeded replicate: draw t and responses, sample, score by kind."""
+    """One seeded replicate: draw t and responses, sample, embed, score by kind."""
     entry = config.schedule(k_index)
     seq = np.random.SeedSequence(config.base_seed, spawn_key=(k_index, replicate))
     draw_child, graph_child = seq.spawn(2)
@@ -386,19 +349,14 @@ def _replicate(config, k_index, replicate):
     eps = rng.normal(0.0, config.sigma_eps, config.s)
     ys = config.alpha + config.beta * ts[: config.s] + eps
     common = dict(
-        k_index=k_index,
-        replicate=replicate,
-        seed=graph_seed,
-        n=entry.n,
-        n_graphs=entry.n_graphs,
-        n_star=entry.n_star,
-        radius=entry.radius,
+        k_index=k_index, replicate=replicate, seed=graph_seed, **dataclasses.asdict(entry)
     )
     try:
-        collection = sample_collection(
-            ts, entry.n, config.variant, graph_seed, responses=ys
+        collection = sample_collection(ts, entry.n, config.variant, graph_seed)
+        z, _, _ = _embed_collection(
+            collection, config.d, entry.radius, config.l, entry.n_star
         )
-        scores = _SCORES[config.kind](config, entry, collection, ts, ys)
+        scores = _SCORES[config.kind](config, ts, ys, z)
         return ReplicateRecord(valid=True, **common, **scores)
     except NumericalError as exc:
         logger.debug("K=%d replicate %d failed: %s", k_index, replicate, exc)
@@ -428,10 +386,7 @@ def _summarize(config, records):
         summaries.append(
             KSummary(
                 k_index=k,
-                n=entry.n,
-                n_graphs=entry.n_graphs,
-                n_star=entry.n_star,
-                radius=entry.radius,
+                **dataclasses.asdict(entry),
                 n_valid=m,
                 n_failed=len(mine) - m,
                 mean_sq_gap=float(gaps.mean()) if m else nan,
@@ -685,7 +640,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "KSummary",
-    "PredictConfig",
     "PredictDiagnostics",
     "ReplicateRecord",
     "ScheduleEntry",
@@ -695,7 +649,6 @@ __all__ = [
     "consistency_reduced_config",
     "experiment_config_from_json",
     "experiment_config_to_json",
-    "oracle_prediction",
     "power_full_config",
     "pred_graph_resp",
     "predict_from_embeddings",

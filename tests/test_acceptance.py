@@ -10,14 +10,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from netmanifold import (
-    PredictConfig,
     cmds_embed,
     f_quantile,
     f_test,
     isomap_1d,
     load_manifest,
     noiseless_collection,
-    oracle_prediction,
     pred_graph_resp,
     predict_from_embeddings,
     raw_stress,
@@ -51,9 +49,10 @@ def test_criterion_1_noiseless_pipeline_oracle(capsys):
     ts = rng.uniform(0.25, 1.0, 60)
     ys = 2.0 + 5.0 * ts[:5]
     collection = noiseless_collection(ts, 400, "curve-A", responses=ys)
-    config = PredictConfig(d=2, radius=2.0, l=6, n_star=60, r=6, sparsity=1.0)
-    prediction, _ = pred_graph_resp(collection, config)
-    gap = abs(prediction - oracle_prediction(ts, ys, 6))
+    prediction, _ = pred_graph_resp(
+        collection, d=2, radius=2.0, l=6, n_star=60, r=6, sparsity=1.0
+    )
+    gap = abs(prediction - predict_from_embeddings(ts, ys, 6))
     elapsed = time.perf_counter() - start
     _verdict(
         capsys,

@@ -249,6 +249,26 @@ def test_predict_disconnected_exits_3(weighted_dataset, capsys):
     assert "disconnected" in err and "1e-09" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("d", "0"), ("d", "-1"), ("d", "61"),
+        ("lambda", "0"), ("lambda", "nan"), ("lambda", "inf"), ("lambda", "-1"),
+        ("l", "0"), ("l", "11"),
+        ("nstar", "0"), ("nstar", "11"), ("nstar", "-1"),
+        ("r", "0"), ("r", "7"),
+    ],
+)
+def test_predict_bad_values_exit_2(weighted_dataset, capsys, flag, value):
+    """Each out-of-range value is caught by a stage of the prediction (10
+    series of 60 nodes, 5 labeled, otherwise --l 6 --nstar 10 --r 6)."""
+    manifest_path, _ = weighted_dataset
+    values = {"d": "2", "lambda": "8.0", "l": "6", "nstar": "10", "r": "6", flag: value}
+    argv = ["predict", "--manifest", manifest_path, "--position", "1"]
+    assert main(argv + [f"--{k}={v}" for k, v in values.items()]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_predict_missing_manifest_exits_2(tmp_path, capsys):
     code = main(
         [
@@ -771,7 +791,10 @@ def test_cli_exit_codes_under_fuzzed_configs(tmp_path_factory):
     The examples are the defects this test found: float fields given integers
     beyond the float range, node and graph counts numpy cannot allocate or
     describe, a negative graph count (complex n_star), a repeated K, and
-    responses whose mean overflows the line fit (a valid sq_gap of NaN)."""
+    responses whose mean overflows the line fit (a valid sq_gap of NaN); and
+    configs that failed only in their first replicate, after sampling: d = 0,
+    s = 2 on a power run, a level with 1 - level == 1, a radius underflowing
+    to 0 at K = 2."""
     root = tmp_path_factory.mktemp("configs")
     path = str(root / "config.json")
     power = ["simulate", "power", "--config", path, "--out", str(root / "out")]
@@ -792,6 +815,12 @@ def test_cli_exit_codes_under_fuzzed_configs(tmp_path_factory):
     @example(({**_POWER_DOC, "graphs_base": -5}, power))
     @example(({**_CONSISTENCY_DOC, "k_values": [1, 1]}, consistency))
     @example(({**_CONSISTENCY_DOC, "alpha": 1e308}, consistency))
+    @example(({**_POWER_DOC, "d": 0}, power))
+    @example(({**_POWER_DOC, "s": 2}, power))
+    @example(({**_POWER_DOC, "level": 1e-17}, power))
+    @example(
+        ({**_POWER_DOC, "k_values": [1, 2], "lambda_base": 5e-324, "lambda_decay": 0.5}, power)
+    )
     def run(case):
         doc, argv = case
         with open(path, "w") as fh:

@@ -277,9 +277,29 @@ def _two_edges(n=4):
     ],
 )
 def test_graph_collection_rejects_malformed_graphs(graph, noiseless, message):
-    """Graph 1 breaks one rule; the collection refuses it at construction."""
+    """Graph 1 breaks one rule; the store refuses it at construction."""
     with pytest.raises(ValidationError, match=message):
-        GraphCollection(graphs=(_two_edges(), graph), noiseless=noiseless)
+        GraphStore.from_arrays((_two_edges(), graph), binary=not noiseless)
+    if not noiseless:  # raw matrices handed to a collection are binary
+        with pytest.raises(ValidationError, match=message):
+            GraphCollection(graphs=(_two_edges(), graph))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GraphStore.from_arrays([], binary=True),
+        lambda: GraphStore.from_arrays([], binary=False),
+        lambda: GraphCollection(graphs=[]),
+        lambda: sample_collection([], 10, "curve-A", 1),
+        lambda: noiseless_collection([], 10, "curve-A"),
+    ],
+    ids=["binary-store", "real-store", "collection", "sampled", "noiseless"],
+)
+def test_empty_store_is_rejected(build):
+    """No graphs at all is a ValidationError on every route to a store."""
+    with pytest.raises(ValidationError, match="at least one graph"):
+        build()
 
 
 def test_binary_graphs_are_stored_packed():
@@ -309,8 +329,6 @@ def test_binary_graphs_are_stored_packed():
     assert all(g is h for g, h in zip(noiseless.graphs.map(lambda g, _: g), noiseless.graphs))
     with pytest.raises(ValidationError, match="binary"):
         noiseless.graphs.edge_counts
-    with pytest.raises(ValidationError, match="noiseless"):
-        GraphCollection(graphs=coll.graphs, noiseless=True)
 
 
 def test_sample_collection_per_graph_seeding():
@@ -322,7 +340,6 @@ def test_sample_collection_per_graph_seeding():
         p = probability_matrix(assignment, build_block_probability(t, "curve-B"))
         assert np.array_equal(coll.graphs[k], sample_levels(p, 100 ^ k))
     assert coll.responses == (1.0, 2.0)
-    assert coll.true_regressors == (0.4, 0.9, 0.6)
     assert not coll.noiseless
 
 

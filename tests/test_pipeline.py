@@ -11,20 +11,24 @@ import pytest
 from netmanifold import (
     DegenerateDesignError,
     GraphCollection,
-    PredictConfig,
     ValidationError,
     analyze_real_dataset,
     collection_from_manifest,
+    coords_matrix,
     experiment_config_from_json,
     experiment_config_to_json,
+    f_test,
+    isomap_1d,
     load_manifest,
     load_replicate_records,
     noiseless_collection,
-    oracle_prediction,
     pred_graph_resp,
     predict_from_embeddings,
     run_consistency_experiment,
     run_power_experiment,
+    sample_collection,
+    scaled_score_points,
+    sparse_mase,
 )
 from netmanifold import blas, eigen, graphs, pipeline
 from netmanifold.pipeline import (
@@ -55,22 +59,27 @@ def _tiny_power(**overrides):
     return power_full_config(**base)
 
 
+def _predict_noiseless(**overrides):
+    """pred_graph_resp on 8 noiseless graphs, 5 labeled, with keyword overrides."""
+    ts = np.linspace(0.3, 0.9, 8)
+    coll = noiseless_collection(ts, 20, "curve-A", responses=2.0 + 5.0 * ts[:5])
+    config = dict(d=2, radius=2.0, l=6, n_star=7, r=6, sparsity=1.0)
+    return pred_graph_resp(coll, **{**config, **overrides})
+
+
 def test_predict_config_validation():
-    PredictConfig(d=2, radius=1.0, l=6, n_star=7, r=6)
-    with pytest.raises(ValidationError):
-        PredictConfig(d=0, radius=1.0, l=6, n_star=7, r=6)
-    with pytest.raises(ValidationError):
-        PredictConfig(d=2, radius=0.0, l=6, n_star=7, r=6)
-    with pytest.raises(ValidationError):
-        PredictConfig(d=2, radius=1.0, l=8, n_star=7, r=6)
-    with pytest.raises(ValidationError):
-        PredictConfig(d=2, radius=1.0, l=6, n_star=7, r=7)
+    """The stages behind pred_graph_resp reject each bad keyword."""
+    prediction, _ = _predict_noiseless()
+    assert math.isfinite(prediction)
+    for overrides in [dict(d=0), dict(radius=0.0), dict(l=8), dict(r=7), dict(n_star=-1)]:
+        with pytest.raises(ValidationError):
+            _predict_noiseless(**overrides)
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
 def test_predict_config_rejects_non_finite_radius(radius):
     with pytest.raises(ValidationError, match="finite"):
-        PredictConfig(d=2, radius=radius, l=6, n_star=7, r=6)
+        _predict_noiseless(radius=radius)
 
 
 def test_predict_from_embeddings_affine_invariance():
@@ -93,15 +102,15 @@ def test_predict_from_embeddings_validation():
 def test_oracle_prediction_exact_line():
     ts = np.array([0.3, 0.5, 0.7, 0.9, 0.4, 0.8])
     ys = 2.0 + 5.0 * ts[:5]
-    assert oracle_prediction(ts, ys, 6) == pytest.approx(2.0 + 5.0 * 0.8, rel=1e-12)
+    assert predict_from_embeddings(ts, ys, 6) == pytest.approx(2.0 + 5.0 * 0.8, rel=1e-12)
 
 
 def test_oracle_prediction_hand_ols():
     # fit on (0,0), (1,0), (2,3): line -0.5 + 1.5 t, evaluated at t_4 = 4
-    value = oracle_prediction([0.0, 1.0, 2.0, 4.0], [0.0, 0.0, 3.0], 4)
+    value = predict_from_embeddings([0.0, 1.0, 2.0, 4.0], [0.0, 0.0, 3.0], 4)
     assert value == pytest.approx(-0.5 + 1.5 * 4.0, abs=1e-12)
     with pytest.raises(ValidationError):
-        oracle_prediction([0.0, 1.0], [0.0, 1.0], 3)
+        predict_from_embeddings([0.0, 1.0], [0.0, 1.0], 3)
 
 
 def test_noiseless_pipeline_matches_oracle():
@@ -110,9 +119,10 @@ def test_noiseless_pipeline_matches_oracle():
     ts = rng.uniform(0.25, 1.0, 20)
     ys = 2.0 + 5.0 * ts[:5]
     coll = noiseless_collection(ts, 60, "curve-A", responses=ys)
-    config = PredictConfig(d=2, radius=2.0, l=6, n_star=20, r=6, sparsity=1.0)
-    prediction, diagnostics = pred_graph_resp(coll, config)
-    oracle = oracle_prediction(ts, ys, 6)
+    prediction, diagnostics = pred_graph_resp(
+        coll, d=2, radius=2.0, l=6, n_star=20, r=6, sparsity=1.0
+    )
+    oracle = predict_from_embeddings(ts, ys, 6)
     assert abs(prediction - oracle) < 1e-6
     assert diagnostics.sparsity == 1.0
     assert diagnostics.stress.converged
@@ -121,14 +131,14 @@ def test_noiseless_pipeline_matches_oracle():
 def test_pred_graph_resp_validation():
     coll = noiseless_collection([0.4, 0.6, 0.8], 10, "curve-A", responses=[1.0])
     with pytest.raises(ValidationError, match="two responses"):
-        pred_graph_resp(coll, PredictConfig(d=2, radius=2.0, l=3, n_star=3, r=3))
+        pred_graph_resp(coll, d=2, radius=2.0, l=3, n_star=3, r=3)
     coll5 = noiseless_collection(
         np.linspace(0.3, 0.9, 5), 10, "curve-A", responses=np.ones(5)
     )
     with pytest.raises(ValidationError, match="exceed"):
-        pred_graph_resp(coll5, PredictConfig(d=2, radius=2.0, l=3, n_star=5, r=3))
+        pred_graph_resp(coll5, d=2, radius=2.0, l=3, n_star=5, r=3)
     with pytest.raises(ValidationError, match="n_star"):
-        pred_graph_resp(coll5, PredictConfig(d=2, radius=2.0, l=5, n_star=9, r=5))
+        pred_graph_resp(coll5, d=2, radius=2.0, l=5, n_star=9, r=5)
 
 
 def test_schedule_formulas():
@@ -195,6 +205,69 @@ def test_experiment_config_rejects_repeated_k():
     """A repeated K would run its replicates twice and write each row twice."""
     with pytest.raises(ValidationError, match="k_values must not repeat"):
         _tiny_consistency(k_values=(1, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(d=0), r"d=0 must lie in \[1, node count 16\]"),
+        (dict(d=-1), "d=-1"),
+        (dict(s=2), "s must be >= 3 on a power run"),
+        (dict(level=1e-17), "1 - level below 1"),
+        (dict(k_values=(1, 2), lambda_base=5e-324, lambda_decay=0.5), "K=2: the radius"),
+    ],
+    ids=["d-zero", "d-negative", "s-two", "level-rounds-away", "radius-underflows"],
+)
+def test_power_config_rejects_at_load_what_fails_after_sampling(overrides, message):
+    """Each of these would pass the config and fail in the first replicate's
+    embedding or F-test, after its graphs were sampled."""
+    with pytest.raises(ValidationError, match=message):
+        power_full_config(**{"k_values": (1,), "mc_replicates": 1, **overrides})
+
+
+def test_consistency_config_accepts_two_labeled_graphs():
+    """Only the F-test needs a third labeled point; a line fit takes two."""
+    assert _tiny_consistency(s=2).s == 2
+
+
+@pytest.mark.parametrize("kind", ["consistency", "power"])
+def test_replicate_record_follows_the_public_path(kind):
+    """A K=1 replicate of a preset, recomputed from the documented seed
+    derivation through the exported entry points, equals its record bit for
+    bit: pred_graph_resp against the latent-route prediction for the
+    consistency gap, the slope F-test on t and on the embedding for power."""
+    if kind == "consistency":
+        config = consistency_reduced_config(k_values=(1,), mc_replicates=1)
+        (record,) = run_consistency_experiment(config).records
+    else:
+        config = power_full_config(k_values=(1,), mc_replicates=1)
+        (record,) = run_power_experiment(config).records
+    entry = config.schedule(1)
+    draw_child, graph_child = np.random.SeedSequence(
+        config.base_seed, spawn_key=(1, 0)
+    ).spawn(2)
+    seed = int(graph_child.generate_state(1, dtype=np.uint64)[0])
+    rng = np.random.Generator(np.random.Philox(draw_child))
+    ts = rng.uniform(0.25, 1.0, entry.n_graphs)
+    eps = rng.normal(0.0, config.sigma_eps, config.s)
+    ys = config.alpha + config.beta * ts[: config.s] + eps
+    coll = sample_collection(ts, entry.n, config.variant, seed, responses=ys)
+    assert record.valid and record.seed == seed
+    if kind == "consistency":
+        prediction, _ = pred_graph_resp(
+            coll, d=config.d, radius=entry.radius, l=config.l, n_star=entry.n_star,
+            r=config.r,
+        )
+        assert record.sq_gap == (prediction - predict_from_embeddings(ts, ys, config.r)) ** 2
+        return
+    scores, _ = sparse_mase(coll, config.d)
+    x = coords_matrix(scaled_score_points(scores, entry.n))
+    z, _, _ = isomap_1d(x[: entry.n_star], entry.radius, config.l)
+    true, hat = (f_test(v[: config.s], coll.responses, config.level) for v in (ts, z))
+    fitted = [t.fit.intercept + t.fit.slope * v[: config.s] for t, v in ((true, ts), (hat, z))]
+    assert record.sq_gap == float(((fitted[1] - fitted[0]) ** 2).mean())
+    assert (record.f_true, record.f_hat) == (true.f_value, hat.f_value)
+    assert (record.reject_true, record.reject_hat) == (true.reject, hat.reject)
 
 
 def test_config_json_round_trip(tmp_path):
