@@ -2,8 +2,9 @@
 
 Dense LAPACK eigensolvers, and matrix products from a few hundred rows up, are
 not bit-stable across BLAS thread counts, and worker threads multiply with
-BLAS threads. So per-graph work runs pinned (map_pinned), spread where it pays
-over as many worker threads as BLAS would have used. numpy and scipy each
+BLAS threads. So map_pinned, the package's one worker pool, runs every call
+pinned: replicates side by side, or one replicate's graphs spread where it
+pays over as many worker threads as BLAS would have used. numpy and scipy each
 bundle their own OpenBLAS (numpy's exports ``scipy_openblas_*64_``, scipy's
 ``scipy_openblas_*``), and a pin must hold both. The helpers reach the copies
 already mapped into the process through ctypes: they load no library, and
@@ -121,26 +122,16 @@ def single_thread():
                         put(count)
 
 
-def map_pinned(fn, items, spread, scratch):
-    """[fn(item, buffer) for item in items], every call on one BLAS thread.
+def map_pinned(fn, items, workers):
+    """[fn(item) for item in items], every call on one BLAS thread.
 
-    With spread, the calls run on as many worker threads as BLAS threads were
-    set before the pin, at most one per item: inside another pin, such as the
-    replicate pool's, that is one. Otherwise they run inline. Either way the
-    results keep the items' order. Each thread makes its buffer once per call,
-    with scratch(), and fn may overwrite it.
+    With workers > 1 the calls run on that many worker threads, at most one
+    per item, otherwise inline. Either way the results keep the items' order.
     """
     items = list(items)
-    workers = min(thread_count() or 1, len(items)) if spread else 1
-    local = threading.local()
-
-    def call(item):
-        if not hasattr(local, "buffer"):
-            local.buffer = scratch()
-        return fn(item, local.buffer)
-
+    workers = min(workers, len(items))
     with single_thread():
         if workers < 2:
-            return [call(item) for item in items]
+            return [fn(item) for item in items]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(call, items))
+            return list(pool.map(fn, items))

@@ -27,7 +27,7 @@ VARIANTS = ("curve-A", "curve-B")
 _SEED_LIMIT = 2**64
 
 # Above this node count a collection's graphs are sampled and embedded one per
-# worker thread (blas.map_pinned), at or below it inline, every product on one
+# worker thread (_spread_width), at or below it inline, every product on one
 # BLAS thread; and only above it are graphs unpacked to float32 for the exact
 # eigen.product. OpenBLAS threads A @ Q from n=510 on, where a pinned float64
 # product loses to it (4 columns, 2 cores: 75 us at n=500 on one or two threads,
@@ -39,6 +39,12 @@ SPREAD_MIN_N = 500
 # The sampler draws whole rows of Philox words, at most this many (512 KB) at
 # a time.
 _CHUNK_DRAWS = 1 << 16
+
+
+def _spread_width(n):
+    """Workers for per-graph work on n nodes (blas.map_pinned): the BLAS thread
+    count above SPREAD_MIN_N, so one inside the replicate pool's pin; else 1."""
+    return (blas.thread_count() or 1) if n > SPREAD_MIN_N else 1
 
 
 def _check_seed(seed):
@@ -106,9 +112,9 @@ def probability_matrix(assignment, block):
     return block[np.ix_(assignment, assignment)]
 
 
-def _sample_upper(levels, rows, seed, a, mirror):
-    """Fill the bool (n, n) a with a symmetric hollow graph: edge {i, j}, i < j,
-    iff u_ij < levels[rows[i], j]. mirror is a bool (n, n) scratch buffer.
+def _sample_upper(levels, rows, seed):
+    """A new bool (n, n) symmetric hollow graph: edge {i, j}, i < j, iff
+    u_ij < levels[rows[i], j].
 
     One Philox stream per graph gives the uniform draws u of the strict upper
     triangle, row by row, as raw 64-bit words r with u = (r >> 11) 2^-53. So
@@ -116,13 +122,13 @@ def _sample_upper(levels, rows, seed, a, mirror):
     float draws and stays exact at L = 0 and L = 1. The words come chunk by
     chunk, each chunk whole rows of one label; they are scattered in stream
     order into the cells j > i of a rectangle of the chunk's rows and columns,
-    compared at once with the label's thresholds straight into a, masked to
-    j > i, and a is then mirrored.
+    compared at once with the label's thresholds straight into the graph,
+    masked to j > i, and the graph is then mirrored.
     """
     n = levels.shape[1]
     bits = np.random.Philox(_check_seed(seed))
     thresholds = np.ceil(levels * 2.0**53).astype(np.uint64)
-    a.fill(False)
+    a = np.zeros((n, n), dtype=bool)
     step = max(1, _CHUNK_DRAWS // n)
     upper = np.arange(n - 1) >= np.arange(min(step, n - 1))[:, None]
     scratch = np.empty(upper.size, np.uint64)
@@ -138,8 +144,7 @@ def _sample_upper(levels, rows, seed, a, mirror):
         block = a[first:last, first + 1 :]
         np.less(rect, thresholds[rows[first], first + 1 :], out=block)
         block &= mask
-    np.copyto(mirror, a.T)
-    a |= mirror
+    a |= a.T
     return a
 
 
@@ -194,35 +199,29 @@ class GraphStore(Sequence):
         return len(self._items)
 
     def __getitem__(self, k):
-        item = self._items[operator.index(k)]
-        if not self.binary:
-            return item
-        return np.unpackbits(item, axis=1, count=self.node_count).astype(float)
+        return self._unpack(operator.index(k), float)
 
-    def _unpack(self, k, buffer):
-        """Graph k, unpacked into the (n, n) float buffer if binary."""
+    def _unpack(self, k, dtype):
+        """Graph k, unpacked into a new dtype array if binary, else as stored."""
         if not self.binary:
             return self._items[k]
-        np.copyto(buffer, np.unpackbits(self._items[k], axis=1, count=self.node_count))
-        return buffer
+        return np.unpackbits(self._items[k], axis=1, count=self.node_count).astype(dtype)
 
     def map(self, fn, indices=None):
         """[fn(graph k, k) for k in indices], by default every graph, in order.
 
         Each call runs on one BLAS thread, above SPREAD_MIN_N nodes spread over
-        worker threads (blas.map_pinned). Each thread unpacks binary graphs
-        into its own reused buffer, float32 above SPREAD_MIN_N nodes (exact 0/1,
-        for eigen.product), float64 below, so fn must be done with its graph
-        when it returns; indexing the store returns a fresh float64 array.
+        worker threads (blas.map_pinned). Binary graphs are unpacked for each
+        call, to float32 above SPREAD_MIN_N nodes (exact 0/1, for
+        eigen.product), float64 below; indexing the store returns float64.
         Real-valued graphs come as stored.
         """
         n = self.node_count
         dtype = np.float32 if n > SPREAD_MIN_N else float
         return blas.map_pinned(
-            lambda k, buffer: fn(self._unpack(k, buffer), k),
+            lambda k: fn(self._unpack(k, dtype), k),
             range(len(self)) if indices is None else indices,
-            n > SPREAD_MIN_N,
-            (lambda: np.empty((n, n), dtype)) if self.binary else (lambda: None),
+            _spread_width(n),
         )
 
     @functools.cached_property
@@ -286,8 +285,7 @@ def sample_collection(ts, n, variant, base_seed, responses=None):
     and individual graphs can be re-sampled in isolation. Row i of graph k
     reads its edge probabilities from the block labels, B[z_i, z_j] for
     j > i, and the sampled bits go to the store packed. Above SPREAD_MIN_N
-    nodes the graphs are sampled one per worker thread, each thread in its
-    own pair of bool buffers.
+    nodes the graphs are sampled one per worker thread.
     """
     base_seed = _check_seed(base_seed)
     assignment = balanced_membership(n, 2)
@@ -296,15 +294,10 @@ def sample_collection(ts, n, variant, base_seed, responses=None):
         for block in _block_sequence(ts, variant)
     ]
 
-    def sample(k, buffers):
-        a = _sample_upper(levels[k], assignment, base_seed ^ k, *buffers)
-        return np.packbits(a, axis=1)
-
     rows = blas.map_pinned(
-        sample,
+        lambda k: np.packbits(_sample_upper(levels[k], assignment, base_seed ^ k), axis=1),
         range(len(levels)),
-        n > SPREAD_MIN_N,
-        lambda: np.empty((2, n, n), dtype=bool),
+        _spread_width(n),
     )
     return GraphCollection(
         graphs=GraphStore(rows, n, binary=True),

@@ -12,8 +12,9 @@ schedule. Each replicate samples its collection and embeds it once, then
 scores by kind: the squared gap between the predictions from the embedding
 and from the true regressors t (predict_from_embeddings on either), or the
 slope F-test on each of the two. Replicates are independent, seeded tasks;
-records are immutable and aggregation is deterministic regardless of thread
-count.
+with threads > 1 they run side by side through blas.map_pinned, each on one
+BLAS thread. Records are immutable and aggregation is deterministic
+regardless of thread count.
 
 Seeding: replicate (K, j) derives its streams from
 SeedSequence(base_seed, spawn_key=(K, j)), spawned into a draw stream (t and
@@ -32,7 +33,6 @@ import os
 import sys
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -347,11 +347,15 @@ def _replicate(config, k_index, replicate):
     rng = np.random.Generator(np.random.Philox(draw_child))
     ts = rng.uniform(0.25, 1.0, entry.n_graphs)
     eps = rng.normal(0.0, config.sigma_eps, config.s)
-    ys = config.alpha + config.beta * ts[: config.s] + eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = config.alpha + config.beta * ts[: config.s] + eps
     common = dict(
         k_index=k_index, replicate=replicate, seed=graph_seed, **dataclasses.asdict(entry)
     )
     try:
+        # the config bounds alpha, beta and sigma_eps, but not what the draws make of them
+        if not np.isfinite(ys).all():
+            raise NumericalError("the drawn responses overflow")
         collection = sample_collection(ts, entry.n, config.variant, graph_seed)
         z, _, _ = _embed_collection(
             collection, config.d, entry.radius, config.l, entry.n_star
@@ -404,17 +408,14 @@ def _run_experiment(config, kind, threads, out_dir):
         raise ValidationError(f"threads must be >= 1, got {threads}")
     start = time.perf_counter()
     tasks = [(k, j) for k in config.k_values for j in range(config.mc_replicates)]
-    # A pool of one would pin BLAS for nothing: serial replicates spread their
-    # large graphs over the BLAS threads instead (blas.map_pinned).
     workers = min(threads, len(tasks))
+    # The pool runs each replicate on one BLAS thread; serial replicates run
+    # unpinned, so they spread their large graphs over the BLAS threads.
+    blas_threads = blas.thread_count()
     if workers > 1:
-        # Replicate threads would multiply with BLAS threads: one BLAS thread
-        # per worker, restored once the pool has drained.
-        with blas.single_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            blas_threads = blas.thread_count()
-            records = list(pool.map(lambda t: _replicate(config, *t), tasks))
+        records = blas.map_pinned(lambda t: _replicate(config, *t), tasks, workers)
+        blas_threads = blas_threads and 1  # None without OpenBLAS
     else:
-        blas_threads = blas.thread_count()
         records = [_replicate(config, k, j) for k, j in tasks]
     records.sort(key=lambda r: (r.k_index, r.replicate))
     summaries = _summarize(config, records)

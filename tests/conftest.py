@@ -66,8 +66,7 @@ def build_weighted_dataset(
 
 def sample_levels(p, seed):
     """The sampler's float graph on per-entry levels: edge {i, j}, i < j, iff u_ij < p[i, j]."""
-    a, mirror = np.empty((2, *p.shape), dtype=bool)
-    return graphs._sample_upper(p, np.arange(len(p)), seed, a, mirror).astype(float)
+    return graphs._sample_upper(p, np.arange(len(p)), seed).astype(float)
 
 
 # Edge-list texts for hypothesis: plain rows (ASCII-digit ids, decimal weights,

@@ -1,4 +1,3 @@
-import contextlib
 import random
 import sys
 import threading
@@ -6,7 +5,7 @@ import time
 
 import pytest
 
-from netmanifold import blas
+from netmanifold import blas, graphs
 
 
 def test_overlapping_pins_hold_one_thread_until_the_last_exit(two_blas_threads):
@@ -66,50 +65,49 @@ def test_pin_holds_and_restores_every_openblas(two_blas_threads, low):
 
 
 def test_map_pinned_spreads_over_the_blas_threads(two_blas_threads):
-    """With spread, 20 items run on as many worker threads as BLAS threads were
-    set (two) and come back in order; every call reads one BLAS thread and
-    each thread makes its buffer once. Without spread, or inside a pin, they
-    run inline on the caller's thread."""
+    """With two workers, 20 items run on at most two worker threads and come
+    back in order; every call reads one BLAS thread. With one worker, or one
+    item, they run inline on the caller's thread, pinned too. Per-graph work
+    spreads over as many workers as BLAS threads above SPREAD_MIN_N nodes, and
+    over one inside a pin or at SPREAD_MIN_N."""
     calls = []
 
-    def square(item, buffer):
-        buffer.append(item)
-        calls.append((threading.get_ident(), blas.thread_count(), id(buffer)))
+    def square(item):
+        calls.append((threading.get_ident(), blas.thread_count()))
         time.sleep(1e-3)
         return item * item
 
     expected = [item * item for item in range(20)]
-    assert blas.map_pinned(square, range(20), True, list) == expected
-    workers = {ident for ident, _, _ in calls}
+    assert blas.map_pinned(square, range(20), 2) == expected
+    workers = {ident for ident, _ in calls}
     assert threading.get_ident() not in workers and len(workers) <= 2
-    assert {count for _, count, _ in calls} == {1}
-    assert len({buffer for _, _, buffer in calls}) == len(workers)
-    for spread, pinned in [(False, False), (True, True)]:
+    assert {count for _, count in calls} == {1}
+    for items, width in [(range(20), 1), ([4], 2)]:
         calls.clear()
-        with blas.single_thread() if pinned else contextlib.nullcontext():
-            assert blas.map_pinned(square, range(20), spread, list) == expected
-        assert {(ident, count) for ident, count, _ in calls} == {(threading.get_ident(), 1)}
+        assert blas.map_pinned(square, items, width) == [item * item for item in items]
+        assert set(calls) == {(threading.get_ident(), 1)}
     assert blas.thread_count() == 2
+    large = graphs.SPREAD_MIN_N + 2
+    assert (graphs._spread_width(large), graphs._spread_width(large - 2)) == (2, 1)
+    with blas.single_thread():
+        assert graphs._spread_width(large) == 1
 
 
 def test_map_pinned_keeps_each_buffer_to_its_thread(two_blas_threads):
     """With BLAS set to 8 threads on fewer cores, 8 workers share 400 items
-    under a 1 us switch interval. Each call writes its item into its thread's
-    buffer, yields, and reads it back: a buffer shared between two threads
-    would show the other's item. Results come back in order, and the count is
-    restored after the pin."""
+    under a 1 us switch interval. Results come back in order, each call reads
+    one BLAS thread, and the count is restored after the pin."""
     for _, put in two_blas_threads:
         put(8)
 
-    def echo(item, buffer):
-        buffer[0] = item
+    def echo(item):
         time.sleep(0)
-        return buffer[0], blas.thread_count()
+        return item, blas.thread_count()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = blas.map_pinned(echo, range(400), True, lambda: [None])
+        results = blas.map_pinned(echo, range(400), 8)
     finally:
         sys.setswitchinterval(interval)
     assert results == [(item, 1) for item in range(400)]

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -118,6 +119,22 @@ def test_simulate_power_tiny(tmp_path, capsys):
         "K,n,N,n_star,lambda,n_valid,n_failed,mean_sq_gap,median_sq_gap,"
         "pi_true,pi_hat,abs_power_gap,se_true,se_hat".split(",")
     )
+
+
+def test_simulate_overflowing_responses_exit_0(tmp_path, capsys):
+    """A power config whose drawn responses overflow runs to the end: its one
+    replicate is written invalid, the exit code is 0 and no warning is shown."""
+    config = power_full_config(k_values=(1,), mc_replicates=1, alpha=1e308, beta=1e308)
+    path = tmp_path / "power.json"
+    experiment_config_to_json(config, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "power", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    assert "valid=0/1" in capsys.readouterr().out
+    _, rows = read_csv_rows(tmp_path / "o" / "replicates.csv")
+    assert [row["valid"] for row in rows] == ["false"]
 
 
 def test_simulate_kind_mismatch_exits_2(tiny_config_path, tmp_path, capsys):

@@ -309,13 +309,11 @@ def test_binary_graphs_are_stored_packed():
     assert [g.tobytes() for g in coll.graphs] == [a.tobytes(), np.zeros((10, 10)).tobytes()]
     assert coll.graphs.edge_counts == (2, 0)
     assert coll.graphs[-1].shape == (10, 10)
-    # map() unpacks every graph of a small collection into one float64 buffer
-    seen = coll.graphs.map(lambda g, k: (id(g), g.dtype, g.tobytes(), k))
-    assert [b for _, _, b, _ in seen] == [g.tobytes() for g in coll.graphs]
-    assert len({i for i, _, _, _ in seen}) == 1 and seen[0][1] == np.float64
-    assert [k for *_, k in seen] == [0, 1]
-    # above SPREAD_MIN_N into float32 buffers, which hold 0/1 exactly; at
-    # SPREAD_MIN_N still float64; indexing returns float64 either way
+    # map() unpacks every graph of a small collection to float64
+    seen = coll.graphs.map(lambda g, k: (g.dtype, g.tobytes(), k))
+    assert seen == [(np.float64, g.tobytes(), k) for k, g in enumerate(coll.graphs)]
+    # above SPREAD_MIN_N to float32, which holds 0/1 exactly; at SPREAD_MIN_N
+    # still float64; indexing returns float64 either way
     for n, dtype in [
         (graphs_module.SPREAD_MIN_N + 2, np.float32),
         (graphs_module.SPREAD_MIN_N, np.float64),

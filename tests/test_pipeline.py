@@ -4,6 +4,7 @@ import logging
 import math
 import pathlib
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -558,6 +559,22 @@ def test_failed_replicates_are_recorded_not_raised(tmp_path):
     assert math.isnan(summary.mean_sq_gap)
     reloaded = load_replicate_records(str(tmp_path / "replicates.csv"))
     assert [r.valid for r in reloaded] == [False, False, False]
+
+
+def test_overflowing_responses_fail_their_replicate_before_sampling(monkeypatch):
+    """Drawn responses alpha + beta t + eps that overflow make their replicate
+    invalid (a NumericalError, raised before its graphs are sampled) without
+    an overflow warning, as overflowing line-fit sums do."""
+    sampled = []
+    monkeypatch.setattr(pipeline, "sample_collection", lambda *args: sampled.append(args))
+    config = power_full_config(k_values=(1,), mc_replicates=1, alpha=1e308, beta=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_power_experiment(config)
+    (record,) = result.records
+    assert not record.valid and math.isnan(record.sq_gap)
+    assert result.summaries[0].n_failed == 1
+    assert sampled == []
 
 
 def test_kind_mismatch_rejected():
