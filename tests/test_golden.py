@@ -25,7 +25,6 @@ import math
 import pathlib
 import re
 import shutil
-import sys
 import tempfile
 
 import pytest
@@ -152,4 +151,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
