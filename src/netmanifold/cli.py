@@ -28,12 +28,8 @@ def _dataset_flags():
     """Flags of the subcommands that ingest a manifest of weighted digraphs."""
     dataset = argparse.ArgumentParser(add_help=False)
     dataset.add_argument("--manifest", required=True, help="dataset manifest JSON")
-    dataset.add_argument(
-        "--percentile",
-        type=float,
-        default=25.0,
-        help="censoring percentile for weighted graphs (default 25)",
-    )
+    dataset.add_argument("--percentile", type=float, default=25.0,
+                         help="censoring percentile for weighted graphs (default 25)")
     dataset.add_argument(
         "--symmetrize", choices=io.SYMMETRIZE_RULES, default="max",
         help="rule merging the two directed weights of a node pair",
@@ -50,32 +46,18 @@ def build_parser():
     dataset = _dataset_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    simulate = sub.add_parser(
-        "simulate", help="run a Monte Carlo convergence experiment"
-    )
+    simulate = sub.add_parser("simulate", help="run a Monte Carlo convergence experiment")
     simulate_sub = simulate.add_subparsers(dest="experiment", required=True)
-    for name, presets in (
-        ("consistency", ("full", "reduced")),
-        ("power", ("full",)),
-    ):
+    for name, presets in (("consistency", ("full", "reduced")), ("power", ("full",))):
         p = simulate_sub.add_parser(name, help=f"{name} experiment")
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--config", help="experiment config JSON")
-        source.add_argument(
-            "--preset", choices=presets, help="built-in schedule"
-        )
+        source.add_argument("--preset", choices=presets, help="built-in schedule")
         p.add_argument(
-            "--replicates",
-            type=int,
-            default=None,
-            help="override the config's Monte Carlo replicate count",
+            "--replicates", type=int, help="override the config's Monte Carlo replicate count"
         )
-        p.add_argument(
-            "--seed", type=_u64, default=None, help="override the config's base_seed"
-        )
-        p.add_argument(
-            "--threads", type=int, default=1, help="worker threads for replicates"
-        )
+        p.add_argument("--seed", type=_u64, help="override the config's base_seed")
+        p.add_argument("--threads", type=int, default=1, help="worker threads for replicates")
         p.add_argument("--out", required=True, help="output directory for CSVs")
         p.set_defaults(func=_cmd_simulate)
 
@@ -88,27 +70,13 @@ def build_parser():
         "--position", type=int, required=True, help="graph position within each series (1-based)"
     )
     predict.add_argument("--d", type=int, required=True, help="embedding dimension")
+    predict.add_argument("--lambda", dest="lam", type=float, required=True,
+                         help="localization-graph neighborhood radius")
+    predict.add_argument("--l", type=int, required=True, help="number of shortest-path sources")
+    predict.add_argument("--nstar", type=int, required=True, help="number of points embedded")
+    predict.add_argument("--r", type=int, required=True, help="target graph index (1-based)")
     predict.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        required=True,
-        help="localization-graph neighborhood radius",
-    )
-    predict.add_argument(
-        "--l", type=int, required=True, help="number of shortest-path sources"
-    )
-    predict.add_argument(
-        "--nstar", type=int, required=True, help="number of points embedded"
-    )
-    predict.add_argument(
-        "--r", type=int, required=True, help="target graph index (1-based)"
-    )
-    predict.add_argument(
-        "--s",
-        type=int,
-        default=None,
-        help="use only the first s responses (default: all labeled series)",
+        "--s", type=int, help="use only the first s responses (default: all labeled series)"
     )
     predict.set_defaults(func=_cmd_predict)
 
@@ -121,13 +89,8 @@ def build_parser():
         "--position", type=int, required=True, help="graph position within each series (1-based)"
     )
     analyze.add_argument("--d", type=int, default=3, help="embedding dimension")
-    analyze.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        required=True,
-        help="localization-graph neighborhood radius",
-    )
+    analyze.add_argument("--lambda", dest="lam", type=float, required=True,
+                         help="localization-graph neighborhood radius")
     analyze.add_argument("--level", type=float, default=0.05, help="F-test level")
     analyze.add_argument(
         "--l", type=int, default=None, help="shortest-path sources (default: all graphs)"
@@ -135,19 +98,11 @@ def build_parser():
     analyze.add_argument(
         "--nstar", type=int, default=None, help="points embedded (default: all graphs)"
     )
-    analyze.add_argument(
-        "--pooled-threshold",
-        action="store_true",
-        help="censor with one percentile threshold pooled across all graphs",
-    )
-    analyze.add_argument(
-        "--local-linear",
-        action="store_true",
-        help="also fit a Gaussian-kernel local-linear curve on the embeddings",
-    )
-    analyze.add_argument(
-        "--bandwidth", type=float, default=0.03, help="local-linear bandwidth"
-    )
+    analyze.add_argument("--pooled-threshold", action="store_true",
+                         help="censor with one percentile threshold pooled across all graphs")
+    analyze.add_argument("--local-linear", action="store_true",
+                         help="also fit a Gaussian-kernel local-linear curve on the embeddings")
+    analyze.add_argument("--bandwidth", type=float, default=0.03, help="local-linear bandwidth")
     analyze.add_argument("--out", default=None, help="output directory for CSVs")
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -175,13 +130,8 @@ def _cmd_simulate(args):
         raise ValidationError(
             f"{path} describes a {config.kind} experiment, not {args.experiment}"
         )
-    overrides = {}
-    if args.replicates is not None:
-        overrides["mc_replicates"] = args.replicates
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    overrides = dict(mc_replicates=args.replicates, base_seed=args.seed)
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     runner = (
         pipeline.run_consistency_experiment
         if args.experiment == "consistency"
@@ -284,15 +234,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, NumericalError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ every larger signed solve, the partial solve (one tridiagonalization,
 bisection and inverse iteration from numpy's OpenBLAS LAPACK, called through
 ctypes, so replicate threads solve side by side); above DENSE_MAX_N by
 modulus, warm-started block iteration, Chebyshev-filtered on sampled graphs,
-which hands over to the partial solve when it stalls. Full and partial
+which hands over to the partial solve when it stalls; its steps call dgeqrf,
+dorgqr and dsyevd the same way, one buffer per solve. Full and partial
 eigensolves and the SVD factor float64 on one BLAS thread (their bits vary
 with the thread count); the block iteration's products (product, exact on
 float32 graphs) are pinned by MASE's per-graph pass (GraphStore.map), which
@@ -101,13 +102,14 @@ def _dense_eigenpairs(a, k, signed=False):
 
 
 # Pointer arguments and hidden string lengths of each LAPACK routine of the
-# partial solve.
-_ROUTINES = {"dsytrd": (10, 1), "dstebz": (18, 2), "dstein": (13, 0), "dormtr": (13, 3)}
+# partial solve, then of the block iteration's step.
+_ROUTINES = {"dsytrd": (10, 1), "dstebz": (18, 2), "dstein": (13, 0), "dormtr": (13, 3),
+             "dgeqrf": (8, 0), "dorgqr": (9, 0), "dsyevd": (11, 2)}
 
 
 @functools.cache
 def _lapack():
-    """dsytrd, dstebz, dstein and dormtr through ctypes, or None without them."""
+    """The _ROUTINES through ctypes, in order, or None without any one of them."""
     routines = tuple(blas.lapack64(name, *arity) for name, arity in _ROUTINES.items())
     return None if None in routines else routines
 
@@ -142,7 +144,7 @@ def _partial_eigenpairs(a, k, signed=False):
     routines = _lapack()
     if routines is None:
         return _dense_eigenpairs(a, k, signed)
-    dsytrd, dstebz, dstein, dormtr = routines
+    dsytrd, dstebz, dstein, dormtr = routines[:4]
     n = a.shape[0]
     m, top_k = min(k + 1, n), min(k, n)
     bounds = [(n - m + 1, n)]
@@ -259,46 +261,71 @@ def _filter_degree(wanted, spare, n, density, excess):
 def _subspace_iteration(a, d, start, density=None):
     """Top-d eigenvectors of A by modulus via (Chebyshev-filtered) block iteration.
 
-    Each step forms Y = A Q for the Rayleigh-Ritz projection QᵀAQ, whose signed
-    Ritz values and vectors approximate the top eigenpairs of A, then moves on
-    to qr(T_m(A/e) Q), m products from T_1 = Y/e (_filter_degree; |T_m| keeps
-    A's modulus order), or to qr(A Y). The solve stops once the top-d Ritz
-    residual ||A U - U Θ||_F falls below _RESIDUAL_TOL times the Ritz gap
-    |θ_d| - |θ_{d+1}|, which bounds the distance to the true top-d projector;
-    a tied or slowly separating boundary never does. It hands over to
-    _partial_eigenpairs after _MAX_ITER steps, at once when the Ritz gap is
-    not positive, or once it has _stalled.
+    Each step orthonormalizes its block into Q and forms Y = A Q for the
+    Rayleigh-Ritz projection QᵀAQ, whose signed Ritz values and vectors
+    approximate the top eigenpairs of A; the next block is T_m(A/e) Q, m
+    products from T_1 = Y/e (_filter_degree; |T_m| keeps A's modulus order),
+    or A Y. The solve stops once the top-d Ritz residual ||A U - U Θ||_F falls
+    below _RESIDUAL_TOL times the Ritz gap |θ_d| - |θ_{d+1}|, which bounds the
+    distance to the true top-d projector; a tied or slowly separating boundary
+    never does. It hands over to _partial_eigenpairs after _MAX_ITER steps, at
+    once when the Ritz gap is not positive, once it has _stalled, and without
+    the ctypes routines. Those are numpy's qr and eigh (dgeqrf and dorgqr on a
+    Fortran copy, dsyevd), with numpy's arguments, so they round alike.
 
     Returns (descending moduli, (n, d) basis, final block): the last (n, k)
     iterate, k the column count of start, or the partial solve's top k
     eigenvectors (and k+1 moduli) after a hand-over.
     """
-    q, _ = np.linalg.qr(start)
-    norms = []
-    for _ in range(_MAX_ITER):
+    routines = _lapack()
+    dgeqrf, dorgqr, dsyevd = routines[4:] if routines else (None,) * 3
+    n, k = start.shape
+    lwork = 1 + 70 * k + 2 * k * k  # 64 words per column and dsyevd's 1 + 6k + 2k^2
+    x, at = _carve(f=n * k, tau=k, ritz=k * k, w=k, work=lwork, iwork=3 + 5 * k, ints=5)
+    ints = x["ints"].view(np.int64)
+    ints[:4] = n, k, lwork, 3 + 5 * k
+    n_, k_, lwork_, liwork_, info = (at["ints"] + 8 * j for j in range(5))
+    fortran, ritz = x["f"].reshape(k, n).T, x["ritz"].reshape(k, k)
+    norms, block = [], start
+    for _ in range(_MAX_ITER if routines else 0):
+        fortran[...] = block
+        dgeqrf(n_, k_, at["f"], n_, at["tau"], at["work"], lwork_, info)
+        dorgqr(n_, k_, k_, at["f"], n_, at["tau"], at["work"], lwork_, info)
+        q = fortran.copy()
         y = product(a, q)
-        ritz = q.T @ y
-        theta, s = np.linalg.eigh((ritz + ritz.T) / 2.0)
-        svals, order = _descending(theta, False)
-        s = s[:, order[:d]]
-        residual = y @ s - (q @ s) * theta[order[:d]]
-        spare = svals[d] if svals.size > d else 0.0
+        rayleigh = q.T @ y
+        np.add(rayleigh, rayleigh.T, out=ritz)
+        ritz /= 2.0
+        dsyevd(b"V", b"L", k_, at["ritz"], k_, at["w"], at["work"], lwork_, at["iwork"],
+               liwork_, info, 1, 1)
+        if ints[4]:
+            break
+        # ascending eigenvalues, eigenvector j in row j; moduli descending, stable
+        theta = x["w"].tolist()
+        order = sorted(range(k), key=lambda j: abs(theta[j]), reverse=True)
+        svals = [abs(theta[j]) for j in order]
+        s = ritz.T[:, order[:d]]
+        basis, residual = q @ s, y @ s
+        residual -= basis * x["w"][order[:d]]
+        spare = svals[d] if k > d else 0.0
         target = _RESIDUAL_TOL * (svals[d - 1] - spare)
-        norms.append(np.linalg.norm(residual))
+        residual = residual.ravel()
+        norms.append(math.sqrt(residual.dot(residual)))  # as np.linalg.norm forms it
         if norms[-1] < target:
-            return svals, q @ s, q
+            return np.array(svals), basis, q
         if target <= 0.0 or _stalled(norms, target):
             break
-        chebyshev = _filter_degree(svals[d - 1], spare, len(a), density, norms[-1] / target)
+        chebyshev = _filter_degree(svals[d - 1], spare, n, density, norms[-1] / target)
         if chebyshev is None:
-            q, _ = np.linalg.qr(product(a, y))
+            block = product(a, y)
             continue
         edge, degree = chebyshev
         previous, block = q, y / edge
         for _ in range(degree - 1):
-            previous, block = block, 2.0 * product(a, block) / edge - previous
-        q, _ = np.linalg.qr(block)
-    svals, block = _partial_eigenpairs(a, q.shape[1])
+            step = product(a, block)
+            step /= edge / 2.0  # rounds as 2 (A T) / e, both halvings exact
+            previous, block = block, np.subtract(step, previous, out=step)
+    svals, block = _partial_eigenpairs(a, k)
     return svals, block[:, :d], block
 
 

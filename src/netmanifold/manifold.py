@@ -64,6 +64,8 @@ def localization_graph(points, radius):
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise ValidationError("expected an (m, D) point array")
+    if not np.isfinite(x).all():
+        raise ValidationError("points must be finite")
     dist = point_distances(x)
     rows, cols = np.nonzero(np.triu(dist < radius, k=1))
     edges = np.column_stack((rows, cols, dist[rows, cols]))

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from netmanifold import blas, graphs
+from netmanifold import blas, eigen, graphs
 
 
 def test_overlapping_pins_hold_one_thread_until_the_last_exit(two_blas_threads):
@@ -112,3 +112,16 @@ def test_map_pinned_keeps_each_buffer_to_its_thread(two_blas_threads):
         sys.setswitchinterval(interval)
     assert results == [(item, 1) for item in range(400)]
     assert blas.thread_count() == 8
+
+
+@pytest.mark.skipif(not blas._mapped(), reason="no OpenBLAS mapped")
+def test_every_lapack_routine_eigen_binds_resolves():
+    """Where numpy's OpenBLAS is mapped, each routine eigen.py calls through
+    ctypes resolves: a missing one would send every solve to the eigh
+    fallback and move output bits while tolerance tests stay green."""
+    assert list(eigen._ROUTINES) == [
+        "dsytrd", "dstebz", "dstein", "dormtr", "dgeqrf", "dorgqr", "dsyevd",
+    ]
+    for name, arity in eigen._ROUTINES.items():
+        assert blas.lapack64(name, *arity) is not None, name
+    assert eigen._lapack() is not None

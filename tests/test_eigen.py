@@ -20,7 +20,9 @@ from netmanifold import (
     ValidationError,
     blas,
     cmds_embed,
+    graphs,
     localization_graph,
+    noiseless_collection,
     sample_collection,
     shortest_path_matrix,
     smacof_minimize,
@@ -264,6 +266,81 @@ def test_float32_graphs_factor_in_float64(monkeypatch, n, patch):
     for got, expected in zip(single, double):
         assert (got is None and expected is None) or got.tobytes() == expected.tobytes()
     assert single[0].dtype == np.float64 and single[1].dtype == np.float64
+
+
+def _reference_block_iteration(a, d, start, density=None):
+    """The block iteration on numpy's qr and eigh, to which the ctypes block
+    step must agree byte for byte."""
+    q, _ = np.linalg.qr(start)
+    norms = []
+    for _ in range(eigen._MAX_ITER):
+        y = eigen.product(a, q)
+        ritz = q.T @ y
+        theta, s = np.linalg.eigh((ritz + ritz.T) / 2.0)
+        svals, order = eigen._descending(theta, False)
+        s = s[:, order[:d]]
+        residual = y @ s - (q @ s) * theta[order[:d]]
+        spare = svals[d] if svals.size > d else 0.0
+        target = eigen._RESIDUAL_TOL * (svals[d - 1] - spare)
+        norms.append(np.linalg.norm(residual))
+        if norms[-1] < target:
+            return svals, q @ s, q
+        if target <= 0.0 or eigen._stalled(norms, target):
+            break
+        chebyshev = eigen._filter_degree(svals[d - 1], spare, len(a), density, norms[-1] / target)
+        if chebyshev is None:
+            q, _ = np.linalg.qr(eigen.product(a, y))
+            continue
+        edge, degree = chebyshev
+        previous, block = q, y / edge
+        for _ in range(degree - 1):
+            previous, block = block, 2.0 * eigen.product(a, block) / edge - previous
+        q, _ = np.linalg.qr(block)
+    svals, block = eigen._partial_eigenpairs(a, q.shape[1])
+    return svals, block[:, :d], block
+
+
+@pytest.mark.parametrize("variant", ["curve-A", "curve-B"])
+@pytest.mark.parametrize("n", [202, 300, 400, 650])
+def test_block_route_matches_the_numpy_step_byte_for_byte(monkeypatch, n, variant):
+    """On the block route, top_eigenpairs gives the bytes of
+    _reference_block_iteration (values, vectors and final block) on sampled
+    graphs, float64 up to SPREAD_MIN_N nodes and float32 (exact products)
+    above: from the fixed Philox start, warm-started from graph 0, handed over
+    to the partial solve after _MAX_ITER = 2 steps, and on a noiseless graph,
+    which takes the plain A (A Q) step."""
+    ts = [0.9, 1.0, 1.2, 1.4]
+    coll = sample_collection(ts, n, variant, n)
+    dtype = np.float32 if n > graphs.SPREAD_MIN_N else float
+    sampled = [np.asarray(coll.graphs[k], dtype=dtype) for k in range(len(ts))]
+    density = [edges / (n * (n - 1) // 2) for edges in coll.graphs.edge_counts]
+    noiseless = noiseless_collection([1.0], n, variant).graphs[0]
+    handovers, partial = [], eigen._partial_eigenpairs
+
+    def counting_partial(*args):
+        handovers.append(args)
+        return partial(*args)
+
+    monkeypatch.setattr(eigen, "_partial_eigenpairs", counting_partial)
+
+    def same_bytes(a, **kwargs):
+        got = eigen.top_eigenpairs(a, 2, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(eigen, "_subspace_iteration", _reference_block_iteration)
+            expected = eigen.top_eigenpairs(a, 2, **kwargs)
+        for mine, theirs in zip(got, expected):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        return got[2]
+
+    start = same_bytes(sampled[0], density=density[0])
+    for k in (1, 2):
+        same_bytes(sampled[k], start=start, density=density[k])
+    same_bytes(noiseless)
+    same_bytes(noiseless, start=start)
+    assert handovers == []
+    monkeypatch.setattr(eigen, "_MAX_ITER", 2)
+    same_bytes(sampled[3], start=start, density=density[3])
+    assert len(handovers) == 2
 
 
 def _column(kind, n, rng):

@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -339,6 +340,25 @@ def test_sample_collection_per_graph_seeding():
         assert np.array_equal(coll.graphs[k], sample_levels(p, 100 ^ k))
     assert coll.responses == (1.0, 2.0)
     assert not coll.noiseless
+
+
+# SHA-256 of graph 0's packed rows, sample_collection([1.2], n, "curve-A",
+# 20240817), recorded before the sampler's stream-order compare and tiled mirror.
+_PACKED_ROWS_SHA256 = {
+    2: "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7",
+    4: "2e772bfe55b2ae4f26758df3913d8f02dcf22072a89fe89ff4f94bbe25e2eac0",
+    200: "0ce7a65ce89ca5379cdff4a971661dbc3d831459c66daeed0e3032ae0d00bb6c",
+    650: "40d4c42046d600162d043c72624a35edbedc3f08e53f4e62e1b620b69411cfd3",
+    2150: "2ad952541eef4d1de36f877c10bd2111932b99ceebb326ed57496f11e2ac0d28",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PACKED_ROWS_SHA256))
+def test_sampled_graphs_keep_their_bits(n):
+    """Every graph keeps its bits up to the paper's K=12 size, where chunks
+    and mirror tiles end inside a label block and at ragged edges."""
+    rows = sample_collection([1.2], n, "curve-A", 20240817).graphs._items[0]
+    assert hashlib.sha256(rows).hexdigest() == _PACKED_ROWS_SHA256[n]
 
 
 def test_sample_collection_odd_n_rejected():

@@ -81,6 +81,19 @@ def test_localization_graph_validation():
         localization_graph(np.zeros(3), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build", [localization_graph, lambda x, r: isomap_1d(x, r, 3)], ids=["graph", "isomap"]
+)
+def test_non_finite_points_are_rejected_up_front(recwarn, build, bad):
+    """A nan or inf point raises ValidationError before any distance is
+    formed, so numpy warns nothing, from localization_graph and isomap_1d."""
+    points = np.array([[0.0], [bad], [0.1]])
+    with pytest.raises(ValidationError, match="points must be finite"):
+        build(points, 1.0)
+    assert len(recwarn) == 0
+
+
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
 def test_localization_graph_rejects_non_finite_radius(radius):
     with pytest.raises(ValidationError, match="finite"):
