@@ -17,13 +17,6 @@ from .errors import NumericalError, ValidationError
 from .mase import sparse_mase
 
 
-def _u64(text):
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
 def _dataset_flags():
     """Flags of the subcommands that ingest a manifest of weighted digraphs."""
     dataset = argparse.ArgumentParser(add_help=False)
@@ -56,7 +49,7 @@ def build_parser():
         p.add_argument(
             "--replicates", type=int, help="override the config's Monte Carlo replicate count"
         )
-        p.add_argument("--seed", type=_u64, help="override the config's base_seed")
+        p.add_argument("--seed", type=int, help="override the config's base_seed")
         p.add_argument("--threads", type=int, default=1, help="worker threads for replicates")
         p.add_argument("--out", required=True, help="output directory for CSVs")
         p.set_defaults(func=_cmd_simulate)

@@ -7,6 +7,7 @@ is seeded with ``base_seed ^ k`` (k counted from 0).
 
 import functools
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -253,7 +254,8 @@ class GraphCollection:
 
     graphs is a GraphStore; matrices passed in instead are binary, and are
     validated and stored in one. A store of real-valued graphs makes the
-    collection noiseless (see noiseless_collection).
+    collection noiseless (see noiseless_collection). Responses must be finite
+    real numbers (no bools) and are stored as a tuple of floats.
     """
 
     graphs: GraphStore
@@ -263,10 +265,15 @@ class GraphCollection:
         if not isinstance(self.graphs, GraphStore):
             object.__setattr__(self, "graphs", GraphStore.from_arrays(self.graphs, binary=True))
         if self.responses is not None:
-            if len(self.responses) > len(self.graphs):
+            responses = tuple(self.responses)
+            if len(responses) > len(self.graphs):
                 raise ValidationError("more responses than graphs")
-            if not all(math.isfinite(y) for y in self.responses):
-                raise ValidationError("responses must be finite")
+            if not all(
+                isinstance(y, numbers.Real) and not isinstance(y, bool) and math.isfinite(y)
+                for y in responses
+            ):
+                raise ValidationError("responses must be finite real numbers")
+            object.__setattr__(self, "responses", tuple(map(float, responses)))
 
     @property
     def noiseless(self):
@@ -307,10 +314,7 @@ def sample_collection(ts, n, variant, base_seed, responses=None):
         range(len(levels)),
         _spread_width(n),
     )
-    return GraphCollection(
-        graphs=GraphStore(rows, n, binary=True),
-        responses=None if responses is None else tuple(float(y) for y in responses),
-    )
+    return GraphCollection(GraphStore(rows, n, binary=True), responses)
 
 
 def noiseless_collection(ts, n, variant, responses=None):
@@ -325,7 +329,4 @@ def noiseless_collection(ts, n, variant, responses=None):
         [probability_matrix(assignment, block) for block in _block_sequence(ts, variant)],
         binary=False,
     )
-    return GraphCollection(
-        graphs=graphs,
-        responses=None if responses is None else tuple(float(y) for y in responses),
-    )
+    return GraphCollection(graphs, responses)

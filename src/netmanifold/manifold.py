@@ -163,6 +163,8 @@ def smacof_minimize(delta, z0):
     if not np.isfinite(delta).all():
         raise ValidationError("dissimilarities must be finite")
     z = np.asarray(z0, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValidationError("the start z0 must be finite")
     if delta.shape != (z.size, z.size):
         raise ValidationError("dissimilarity matrix shape does not match z0")
     z = z - z.mean()

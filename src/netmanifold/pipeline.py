@@ -29,10 +29,10 @@ import dataclasses
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 import time
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,6 +132,23 @@ class ScheduleEntry:
     radius: float
 
 
+def _typed(name, value, annotation):
+    """value for a field annotated `annotation`, as a Python int, str, finite float
+    (an integer kept as it is) or tuple of ints; else ValidationError, bools included."""
+    if annotation == "tuple" and isinstance(value, (list, tuple)):
+        return tuple(_typed(f"{name} entry", k, "int") for k in value)
+    kind = {"int": numbers.Integral, "float": numbers.Real, "str": str}.get(annotation)
+    if kind is None or isinstance(value, bool) or not isinstance(value, kind):
+        expected = "a list of int" if annotation == "tuple" else annotation
+        raise ValidationError(f"{name} must be {expected}, got {value!r}")
+    if kind is not str:
+        value = int(value) if isinstance(value, numbers.Integral) else float(value)
+    # False for NaN, infinities and integers beyond the float range
+    if annotation == "float" and not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{name} must be a finite number")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parametric schedule shared by both Monte Carlo experiments.
@@ -139,6 +156,7 @@ class ExperimentConfig:
     At step K: n = nodes_base + nodes_step*(K-1) nodes,
     N = graphs_base + graphs_step*(K-1) graphs,
     N* = floor(N ** isomap_exponent), radius = lambda_base * lambda_decay**(K-1).
+    Construction checks every field's type (_typed), then the schedule.
     """
 
     kind: str
@@ -163,15 +181,15 @@ class ExperimentConfig:
     base_seed: int = DEFAULT_BASE_SEED
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:  # only r may be None
+                object.__setattr__(self, f.name, _typed(f.name, value, f.type))
         if self.kind not in ("consistency", "power"):
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
-        for f in dataclasses.fields(self):
-            # False for NaN, infinities and JSON integers beyond the float range
-            if f.type == "float" and not abs(getattr(self, f.name)) <= sys.float_info.max:
-                raise ValidationError(f"{f.name} must be a finite number")
         if not self.k_values:
             raise ValidationError("k_values must be non-empty")
-        if any(int(k) != k or not 1 <= k < io.COUNT_LIMIT for k in self.k_values):
+        if any(not 1 <= k < io.COUNT_LIMIT for k in self.k_values):
             raise ValidationError("k_values must be integers in [1, 2^30)")
         if len(set(self.k_values)) != len(self.k_values):
             raise ValidationError("k_values must not repeat")
@@ -250,20 +268,11 @@ def _json_key(name):
     return "experiment" if name == "kind" else name
 
 
-def _json_type_ok(value, kind):
-    """JSON value check for one ExperimentConfig field type; no field is a bool."""
-    if isinstance(value, bool):
-        return False
-    if kind is tuple:
-        return isinstance(value, list) and all(_json_type_ok(v, int) for v in value)
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 def experiment_config_from_json(path):
-    """Load an ExperimentConfig from its JSON form (strict keys and types).
+    """Load an ExperimentConfig from its JSON form (strict keys).
 
-    Keys are the ExperimentConfig fields, with kind stored as "experiment".
-    Float fields accept JSON integers as they are.
+    Keys are the ExperimentConfig fields, with kind stored as "experiment";
+    the values go to ExperimentConfig as they are, which checks their types.
     """
     doc = io.load_json_object(path)
     fields = {_json_key(f.name): f for f in dataclasses.fields(ExperimentConfig)}
@@ -279,20 +288,7 @@ def experiment_config_from_json(path):
     } - set(doc)
     if missing:
         raise ValidationError(f"{path}: missing config keys {sorted(missing)}")
-    types = typing.get_type_hints(ExperimentConfig)
-    kwargs = {}
-    for key, f in fields.items():
-        if key not in doc:
-            continue
-        value, kind = doc[key], types[f.name]
-        nullable = f.default is None
-        if not (_json_type_ok(value, kind) or (nullable and value is None)):
-            expected = "list of int" if kind is tuple else kind.__name__
-            raise ValidationError(
-                f"{path}: config key {key!r} must be {expected}, got {value!r}"
-            )
-        kwargs[f.name] = tuple(value) if kind is tuple else value
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{f.name: doc[key] for key, f in fields.items() if key in doc})
 
 
 def experiment_config_to_json(config, path):

@@ -157,7 +157,9 @@ def fit_local_linear(zs, ys, bandwidth, query):
     if not 0.0 < bandwidth < math.inf:  # False for NaN
         raise ValidationError("bandwidth must be finite and positive")
     u = z - query
-    w = np.exp(-(u * u) / (2.0 * bandwidth * bandwidth))
+    # tiny h overflows the quotient (weight 0), or makes 2h^2 0 and the own point's 0/0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = np.exp(-(u * u) / (2.0 * bandwidth * bandwidth))
     if int((w > 0.0).sum()) < 2:
         raise DegenerateDesignError(
             f"fewer than two points carry weight at query {query:g}; "

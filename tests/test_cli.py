@@ -169,12 +169,11 @@ def test_simulate_flag_conflicts_exit_2(tiny_config_path, tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         main(["simulate", "consistency", "--preset", "full"])  # --out missing
     assert exc_info.value.code == 2
-    with pytest.raises(SystemExit) as exc_info:
-        main(
-            ["simulate", "consistency", "--preset", "full", "--seed", "-1",
-             "--out", str(tmp_path / "o")]
-        )
-    assert exc_info.value.code == 2
+    # the config checks the seed's range
+    assert main(
+        ["simulate", "consistency", "--preset", "full", "--seed", "-1",
+         "--out", str(tmp_path / "o")]
+    ) == 2
 
 
 @pytest.mark.parametrize(
@@ -401,6 +400,42 @@ def test_simulate_config_wrong_type_exits_2(
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bandwidth", ["1e-155", "1e-320"])
+def test_analyze_tiny_bandwidth_exits_3_without_warnings(weighted_dataset, capsys, bandwidth):
+    """Below a bandwidth of about 1e-150 the kernel weights overflow, and below
+    about 1.2e-162 2h^2 is 0; the error is the only line on stderr."""
+    manifest_path, _ = weighted_dataset
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(
+            ["analyze", "--manifest", manifest_path, "--position", "1", "--d", "2",
+             "--lambda", "8.0", "--local-linear", "--bandwidth", bandwidth]
+        )
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "increase the bandwidth" in err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("d", True), ("mc_replicates", 1.0), ("k_values", "12"), ("alpha", None), ("s", None)],
+)
+def test_simulate_config_type_rules_exit_2(tiny_config_path, tmp_path, capsys, key, value):
+    """The README's type rules: no bool or 1.0 for an integer field, k_values a
+    list, null only for r."""
+    with open(tiny_config_path) as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code = main(["simulate", "consistency", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
 
 
 def test_analyze_nstar_above_series_count_exits_2(weighted_dataset, capsys):

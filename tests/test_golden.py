@@ -8,7 +8,7 @@ flags and words must match exactly. Floats must agree within 1e-6 relative;
 the summary lines `simulate` prints round to 4 or 6 digits, so theirs may
 also differ by one unit in the last printed digit. Kernel-level drift on
 another machine passes; seed, order and index defects, which move values by
-O(1), fail.
+O(1), fail. None of the commands may emit a warning.
 
 After a change that moves outputs on purpose, rewrite the goldens with
 
@@ -26,6 +26,7 @@ import pathlib
 import re
 import shutil
 import tempfile
+import warnings
 
 import pytest
 
@@ -124,7 +125,10 @@ def manifest(tmp_path_factory):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_outputs_match_the_goldens(name, manifest, tmp_path):
-    files = run_case(name, manifest, tmp_path / "out")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        files = run_case(name, manifest, tmp_path / "out")
+    assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
     golden = GOLDEN / name
     assert sorted(files) == sorted(p.name for p in golden.iterdir())
     found = []

@@ -154,6 +154,29 @@ def test_graph_collection_validation():
     assert GraphCollection(graphs=(a,)).n_labeled == 0
 
 
+@pytest.mark.parametrize(
+    "responses", [(None,), ("1.0",), ["a"], ["1.5"], (True,), (np.bool_(True),), (1.0, 1j)]
+)
+def test_collections_reject_responses_that_are_not_real(responses):
+    a = np.zeros((4, 4))
+    builders = [
+        lambda: GraphCollection(graphs=(a, a), responses=responses),
+        lambda: sample_collection([0.5, 0.6], 4, "curve-A", 1, responses=responses),
+        lambda: noiseless_collection([0.5, 0.6], 4, "curve-A", responses=responses),
+    ]
+    for build in builders:
+        with pytest.raises(ValidationError, match="responses"):
+            build()
+
+
+def test_collection_responses_are_a_tuple_of_floats():
+    coll = noiseless_collection([0.5, 0.6], 4, "curve-A", responses=np.array([1, 2]))
+    assert coll.responses == (1.0, 2.0)
+    assert all(type(y) is float for y in coll.responses)
+    coll = GraphCollection(graphs=(np.zeros((4, 4)),), responses=iter([np.float32(0.5)]))
+    assert coll.responses == (0.5,) and type(coll.responses[0]) is float
+
+
 def _reference_sample_adjacency(p, seed):
     """The sampler before the packed store, kept as the oracle.
 

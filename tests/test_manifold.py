@@ -305,6 +305,15 @@ def test_smacof_validation():
         smacof_minimize(np.array([[0.0, np.inf], [np.inf, 0.0]]), np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_smacof_rejects_a_non_finite_start(recwarn, bad):
+    """A NaN start would run every step and return NaN; an infinite one warns first."""
+    delta = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    with pytest.raises(ValidationError, match="z0"):
+        smacof_minimize(delta, np.array([0.0, bad, 1.0]))
+    assert len(recwarn) == 0
+
+
 def test_isomap_single_source():
     z, _, _ = isomap_1d(np.array([[0.0], [1.0]]), 5.0, 1)
     assert np.array_equal(z, np.zeros(1))

@@ -226,6 +226,51 @@ def test_power_config_rejects_at_load_what_fails_after_sampling(overrides, messa
         power_full_config(**{"k_values": (1,), "mc_replicates": 1, **overrides})
 
 
+def _wrong_types(f):
+    """Values of the wrong type for ExperimentConfig field f."""
+    wrong = [True, np.bool_(False), "2", [1.0]]
+    if f.name != "r":
+        wrong.append(None)
+    if f.type in ("int", "tuple"):
+        wrong += [2.0, np.float64(2.0)]
+    if f.type == "tuple":
+        wrong += [(1.0, 2.0), (1, True), (1, "2"), 1]
+    if f.type == "str":
+        wrong += [1, 1.5]
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "f", dataclasses.fields(pipeline.ExperimentConfig), ids=lambda f: f.name
+)
+def test_experiment_config_rejects_wrong_types_at_construction(f):
+    """However a config is built, a wrongly typed field raises ValidationError
+    before any graph is sampled, never a TypeError or IndexError later."""
+    for value in _wrong_types(f):
+        for config in (_tiny_consistency(), _tiny_power()):
+            with pytest.raises(ValidationError, match=f.name):
+                dataclasses.replace(config, **{f.name: value})
+
+
+@pytest.mark.parametrize("kind", ["consistency", "power"])
+def test_experiment_config_accepts_numpy_scalars(kind):
+    """numpy integers and floats of valid values give the Python-typed config."""
+    config = _tiny_consistency() if kind == "consistency" else _tiny_power()
+    numpy_typed = dict(k_values=tuple(np.asarray(config.k_values, dtype=np.int32)))
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and value is not None:
+            numpy_typed[f.name] = np.int64(value)
+        elif f.type == "float":
+            numpy_typed[f.name] = np.float64(value)
+    converted = dataclasses.replace(config, **numpy_typed)
+    assert converted == config
+    assert all(type(k) is int for k in converted.k_values)
+    assert type(converted.nodes_base) is int and type(converted.alpha) is float
+    run = run_consistency_experiment if kind == "consistency" else run_power_experiment
+    assert run(converted).records == run(config).records
+
+
 def test_consistency_config_accepts_two_labeled_graphs():
     """Only the F-test needs a third labeled point; a line fit takes two."""
     assert _tiny_consistency(s=2).s == 2
@@ -640,6 +685,15 @@ def test_collection_from_manifest_prefix_cap(weighted_dataset):
         collection_from_manifest(manifest, 1, s=6)
     with pytest.raises(ValidationError, match="negative"):
         collection_from_manifest(manifest, 1, s=-1)  # would slice from the end
+
+
+def test_collection_from_manifest_rejects_unlabeled_series_first(weighted_dataset):
+    """A hand-built manifest whose labeled series do not come first hands a
+    None response to the collection."""
+    manifest = load_manifest(weighted_dataset[0])
+    responses = (None,) + manifest.responses[1:]
+    with pytest.raises(ValidationError, match="responses"):
+        collection_from_manifest(dataclasses.replace(manifest, responses=responses), 1)
 
 
 @pytest.mark.parametrize("percentile", [101.0, float("nan")])
